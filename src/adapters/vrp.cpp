@@ -187,6 +187,10 @@ void VrpLink::arm_rto(std::uint64_t offset) {
     if (it == flight_.end()) return;  // resolved meanwhile
     // A newer (re)transmit of this frame armed its own timer.
     if (engine_->now() - it->second.last_tx < kRto) return;
+    // A peer that stayed silent through kMaxTries timeouts is gone
+    // (node left, link dead): stop, or the timer re-arms forever.
+    if (it->second.rto_tries >= kMaxTries) return;
+    ++it->second.rto_tries;
     ++retransmissions_;
     obs_retx_->add();
     engine_->tracer().instant(obs::Cat::vlink, trace_retx_);
@@ -207,7 +211,8 @@ void VrpLink::send_fin() {
 void VrpLink::arm_fin_timer() {
   std::weak_ptr<char> w = alive_;
   engine_->schedule_after(kRto, [this, w] {
-    if (w.expired() || fin_acked_) return;
+    if (w.expired() || fin_acked_ || fin_tries_ >= kMaxTries) return;
+    ++fin_tries_;
     ++retransmissions_;
     obs_retx_->add();
     vrp::Header h;

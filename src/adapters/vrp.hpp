@@ -28,10 +28,11 @@
 //     definite loss: within budget the receiver *gives up* on the gap
 //     immediately (skips it, counts it, never stalls), over budget it
 //     nacks and waits.  Sender-side RTO backstops lost tails and lost
-//     acks/nacks.
+//     acks/nacks, at most 32 times per frame.
 //   * teardown — post_close() sends a fin at the final offset,
-//     retransmitted until acked; the receiver marks eof once the
-//     stream is resolved up to the fin.
+//     retransmitted until acked (at most 32 times); the receiver marks
+//     eof once the stream is resolved up to the fin.
+//   Both caps stop the timers once the peer has left for good.
 //
 // Accounting: realized_loss() is skipped-bytes / resolved-bytes
 // (receiver-reported through acks, so the *sender* can read it), which
@@ -155,6 +156,7 @@ class VrpLink final : public Link {
   struct Flight {
     core::Bytes payload;
     core::SimTime last_tx = 0;
+    int rto_tries = 0;  // RTO-triggered resends of this frame
   };
 
   void on_frame(core::ByteView frame);
@@ -194,6 +196,7 @@ class VrpLink final : public Link {
   std::optional<std::uint64_t> fin_offset_;
   bool fin_sent_ = false;
   bool fin_acked_ = false;
+  int fin_tries_ = 0;  // fin resends
   std::uint64_t retransmissions_ = 0;
 
   // --- receiver state ---

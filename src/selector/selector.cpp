@@ -4,13 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fastpath.hpp"
-
 namespace padico::selector {
 
-Chooser::Chooser(vlink::VLink& vlink)
-    : vlink_(&vlink),
-      cache_on_(core::default_fastpath_config().selector_cache) {
+Chooser::Chooser(vlink::VLink& vlink) : vlink_(&vlink) {
   obs::Registry& reg = vlink.host().engine().obs();
   obs_hits_ = &reg.counter("selector.cache.hits");
   obs_misses_ = &reg.counter("selector.cache.misses");
@@ -85,11 +81,6 @@ Chooser::Decision Chooser::compute(core::NodeId dst) const {
 
 const Chooser::Decision& Chooser::decide(core::NodeId dst) {
   ++lookups_;
-  if (!cache_on_) {
-    obs_misses_->add();
-    scratch_ = compute(dst);
-    return scratch_;
-  }
   if (auto it = cache_.find(dst); it != cache_.end()) {
     ++hits_;
     obs_hits_->add();

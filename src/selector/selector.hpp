@@ -37,9 +37,7 @@
 // entries — the Grid subscribes to each network's change
 // notifications and calls `invalidate(dst)` for a detached node, full
 // `invalidate()` only on the choosers of nodes attached to a medium
-// whose link state or model changed.  Caching is config-selectable
-// (core::FastPathConfig::selector_cache); with it off every lookup
-// recomputes, the kept reference behaviour bench_session_open races.
+// whose link state or model changed.
 //
 // Hit / miss / eviction totals are published as obs counters
 // (`selector.cache.hits` / `.misses` / `.evictions`) on the engine's
@@ -60,7 +58,6 @@ namespace padico::selector {
 class Chooser final : public vlink::SelectionPolicy {
  public:
   /// Ranks `vlink`'s registry; borrows it (the grid::Node owns both).
-  /// Snapshots core::default_fastpath_config().selector_cache.
   explicit Chooser(vlink::VLink& vlink);
 
   /// Distance class of `dst` as seen from this node (cached).
@@ -111,8 +108,6 @@ class Chooser final : public vlink::SelectionPolicy {
   vlink::VLink* vlink_;
   std::string wan_method_;
   std::unordered_map<core::NodeId, Decision> cache_;
-  bool cache_on_;
-  Decision scratch_;  // decide()'s result slot when the cache is off
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t evictions_ = 0;

@@ -268,6 +268,35 @@ TEST(Vrp, DestroyingLinksMidRetransmitIsSafe) {
   p.grid.engine().run_until_idle();  // drains orphaned timers quietly
 }
 
+TEST(Vrp, PeerLeavingMidTransferStopsTheRetransmitTimers) {
+  // Once the peer node detaches, no ack or fin confirmation can ever
+  // arrive.  The RTO and fin timers must give up after a bounded number
+  // of resends so the engine drains instead of re-arming forever.
+  Pair p(sn::profiles::transcontinental_internet(0.07), 0.0);
+  p.connect("vrp", 4006);
+  auto* vrp = dynamic_cast<vl::VrpLink*>(p.a.get());
+  ASSERT_NE(vrp, nullptr);
+  const pc::Bytes payload = pattern_payload(64 * 1024);
+  p.a->post_write(pc::view_of(payload));
+  p.a->post_close();
+  bool cut = false;
+  p.grid.engine().schedule_after(pc::milliseconds(300), [&] { cut = true; });
+  p.grid.engine().run_while_pending([&] { return cut; });
+  p.grid.remove_node_live(1);
+  const std::uint64_t retx_at_leave = vrp->retransmissions();
+
+  // Bounded virtual horizon: a timer that never stops fails here
+  // instead of hanging the suite.
+  const pc::SimTime horizon = p.grid.engine().now() + pc::seconds(3600);
+  p.grid.engine().run_while_pending(
+      [&] { return p.grid.engine().now() > horizon; });
+  ASSERT_FALSE(p.grid.engine().pending());  // run_until_idle() returned
+  // At most a window of frames plus the fin, each capped at 32 resends.
+  EXPECT_GT(vrp->retransmissions(), retx_at_leave);
+  EXPECT_LE(vrp->retransmissions() - retx_at_leave, (48u + 1u) * 32u);
+  EXPECT_FALSE(p.b->eof_seen());
+}
+
 TEST(Vrp, ConnectToUnlistenedPortIsRefusedNotHung) {
   // The base driver refuses outright (nobody on the rendezvous port);
   // vrp must propagate the refusal instead of retrying forever.

@@ -2,25 +2,23 @@
 // exactly the old `std::map<(t, seq), fn>` order — strictly
 // non-decreasing time, FIFO within an instant, past timestamps clamped
 // to now — under every configuration (default ring, 1-bucket
-// degenerate, tiny ring, and the kept map reference mode).
+// degenerate, tiny ring).
 //
-// The oracle is a miniature map-engine reimplemented here from the
-// seed's semantics (not from the code under test), driven by the same
-// seeded generator.  Plus a recorded-digest constant: the 1k-node
-// scenario must reproduce the digest recorded before the queue swap.
+// The oracle is the seed's std::map queue (bench/map_oracle.hpp, shared
+// with bench_engine), driven by the same seeded generator.  Plus a
+// recorded-digest constant: the 1k-node scenario must reproduce the
+// digest recorded before the queue swap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/event_queue.hpp"
-#include "core/fastpath.hpp"
 #include "core/rng.hpp"
 #include "core/time.hpp"
+#include "map_oracle.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 
@@ -28,33 +26,6 @@ namespace pc = padico::core;
 namespace sc = padico::scenario;
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Oracle: the seed engine's queue semantics in ~20 lines
-// ---------------------------------------------------------------------------
-
-class MapOracle {
- public:
-  pc::SimTime now() const { return now_; }
-
-  void schedule_at(pc::SimTime t, std::function<void()> fn) {
-    if (t < now_) t = now_;  // past clamps to now
-    q_.emplace(std::pair{t, seq_++}, std::move(fn));
-  }
-
-  void run_until_idle() {
-    while (!q_.empty()) {
-      auto node = q_.extract(q_.begin());
-      now_ = node.key().first;
-      node.mapped()();
-    }
-  }
-
- private:
-  std::map<std::pair<pc::SimTime, std::uint64_t>, std::function<void()>> q_;
-  pc::SimTime now_ = 0;
-  std::uint64_t seq_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Generator: a random schedule-churn program, identical per seed
@@ -129,7 +100,7 @@ TEST(EventQueueOrdering, HundredThousandRandomEventsMatchMapSemantics) {
   constexpr std::uint32_t kTotal = 100'000;
   constexpr std::uint64_t kSeed = 0x0bd5'ca1e'0000'0001ull;
 
-  MapOracle oracle;
+  bench::MapOracle oracle;
   const std::vector<std::uint32_t> expect =
       run_program(oracle, kTotal, kSeed);
   ASSERT_EQ(expect.size(), kTotal);
@@ -141,10 +112,6 @@ TEST(EventQueueOrdering, HundredThousandRandomEventsMatchMapSemantics) {
   EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
 
   cfg.ring_ticks = 64;  // tiny window: constant ring<->heap migration
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
-
-  cfg = pc::QueueConfig{};
-  cfg.mode = pc::QueueConfig::Mode::map;  // the kept reference mode
   EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
 }
 
@@ -183,8 +150,8 @@ namespace {
 
 /// 32x32 = 1024 nodes, 6k bursty sessions, all five churn kinds.  The
 /// constants below were recorded on the std::map engine BEFORE the
-/// calendar-queue refactor; every queue configuration must still
-/// reproduce them exactly.
+/// calendar-queue refactor; every ring width must still reproduce them
+/// exactly.
 sc::ScenarioSpec thousand_node_spec() {
   sc::ScenarioSpec spec = sc::small_world(32, 32, 6'000, 2'000'000.0, 17);
   spec.workload.burst_depth = 0.5;
@@ -221,31 +188,18 @@ TEST(EventQueueDigest, ThousandNodeScenarioMatchesPreRefactorRecording) {
   EXPECT_EQ(r.duration, kRecordedDuration);
 }
 
-TEST(EventQueueDigest, FastLaneOffReproducesTheSameRecording) {
-  // The session-open fast lane (selector cache, fast-open handshake,
-  // inline VIO dispatch) defaults ON, so the recordings above already
-  // cover it.  The reference path — uncached chooser, full precheck,
-  // coroutine clients — must schedule the exact same events.
-  pc::ScopedFastPathConfig ref(pc::FastPathConfig{.selector_cache = false,
-                                                  .fast_open = false,
-                                                  .inline_vio = false});
-  const sc::Report r = run_thousand(pc::QueueConfig{});
-  EXPECT_EQ(r.digest, kRecordedDigest);
-  EXPECT_EQ(r.events, kRecordedEvents);
-  EXPECT_EQ(r.duration, kRecordedDuration);
-}
-
-TEST(EventQueueDigest, DegenerateAndMapConfigsReproduceTheSameRecording) {
+TEST(EventQueueDigest, DegenerateAndTinyRingsReproduceTheSameRecording) {
   pc::QueueConfig one_bucket;
   one_bucket.ring_ticks = 1;
   const sc::Report degenerate = run_thousand(one_bucket);
   EXPECT_EQ(degenerate.digest, kRecordedDigest);
   EXPECT_EQ(degenerate.events, kRecordedEvents);
+  EXPECT_EQ(degenerate.duration, kRecordedDuration);
 
-  pc::QueueConfig map_mode;
-  map_mode.mode = pc::QueueConfig::Mode::map;
-  const sc::Report reference = run_thousand(map_mode);
-  EXPECT_EQ(reference.digest, kRecordedDigest);
-  EXPECT_EQ(reference.events, kRecordedEvents);
-  EXPECT_EQ(reference.duration, kRecordedDuration);
+  pc::QueueConfig tiny;
+  tiny.ring_ticks = 64;
+  const sc::Report migrating = run_thousand(tiny);
+  EXPECT_EQ(migrating.digest, kRecordedDigest);
+  EXPECT_EQ(migrating.events, kRecordedEvents);
+  EXPECT_EQ(migrating.duration, kRecordedDuration);
 }

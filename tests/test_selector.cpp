@@ -8,10 +8,12 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/core.hpp"
-#include "core/fastpath.hpp"
 #include "obs/registry.hpp"
 #include "grid/grid.hpp"
 #include "simnet/simnet.hpp"
@@ -206,19 +208,45 @@ TEST(Selector, TargetedInvalidationDropsOnlyThatDestination) {
   EXPECT_EQ(ch.cache_size(), 3u);
 }
 
-TEST(Selector, CacheOffModeRecomputesEveryLookup) {
-  pc::ScopedFastPathConfig off(pc::FastPathConfig{.selector_cache = false});
+TEST(Selector, CachedAnswersMatchAFreshChooserThroughChurn) {
+  // Differential guard for the decision cache: after every topology
+  // change, each answer node 0's (cached) chooser gives must equal the
+  // answer of a chooser built from scratch over the same VLink.
   gr::Grid grid;
   two_clusters(grid);
   sel::Chooser& ch = grid.node(0).chooser();
-  // Decisions are unchanged, only recomputed per lookup.
-  EXPECT_EQ(ch.choose(1), "madio");
-  EXPECT_EQ(ch.choose(2), "sysio");
-  EXPECT_EQ(ch.choose(2), "sysio");
-  EXPECT_EQ(ch.classify(2), sel::NetClass::wan);
-  EXPECT_EQ(ch.cache_size(), 0u);
-  EXPECT_EQ(ch.hits(), 0u);
-  EXPECT_EQ(ch.misses(), ch.lookups());
+  const auto answer = [](sel::Chooser& c, pc::NodeId dst) {
+    std::string method;
+    try {
+      method = c.choose(dst);
+    } catch (const std::runtime_error&) {
+      method = "<unreachable>";
+    }
+    return std::tuple{method, c.classify(dst), c.path_secure(dst)};
+  };
+  const auto expect_fresh_answers = [&](const char* stage) {
+    sel::Chooser fresh(grid.node(0).vlink());
+    fresh.set_wan_method(ch.wan_method());
+    // Two passes: the first may recompute, the second is served from
+    // the cache and must still agree.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (pc::NodeId dst = 0; dst < 4; ++dst) {
+        EXPECT_EQ(answer(ch, dst), answer(fresh, dst))
+            << stage << ", pass " << pass << ", dst " << dst;
+      }
+    }
+  };
+
+  expect_fresh_answers("warm");
+  const std::uint64_t hits_before = ch.hits();
+  grid.fabric().network(2).detach(2);  // node 2 leaves the WAN
+  expect_fresh_answers("detach");
+  grid.fabric().network(0).set_up(false);  // sanA goes dark
+  expect_fresh_answers("set_up(false)");
+  grid.fabric().network(2).set_model(
+      sn::profiles::transcontinental_internet(0.07));
+  expect_fresh_answers("set_model");
+  EXPECT_GT(ch.hits(), hits_before);  // cached answers were compared
 }
 
 TEST(Selector, CacheCountersArePublished) {
