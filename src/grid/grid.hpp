@@ -193,7 +193,10 @@ class Grid {
   /// Declare a network from a link model.  Only valid before build().
   simnet::NetId add_network(const simnet::LinkModel& model);
 
-  /// Attach `node` to `net`.  Only valid before build().
+  /// Attach `node` to `net`.  Only valid before build().  Throws
+  /// std::invalid_argument if the pair is already attached (a second
+  /// driver stack would take over the first one's network receiver);
+  /// one node on several networks, e.g. twin SANs, is fine.
   void attach(simnet::NetId net, core::NodeId node);
 
   /// Freeze the topology and instantiate per-node hosts, vlinks and
@@ -225,8 +228,10 @@ class Grid {
   /// Attach a live node to `net` and wire the same driver stack
   /// build() would have wired for this (network, node) pair — SAN
   /// stack for "madio" profiles; NetDriver plus pstream/adoc/vrp
-  /// adapters for IP profiles.  Every chooser cache is invalidated, so
-  /// the next method-less connect anywhere sees the new reachability.
+  /// adapters for IP profiles.  Choosers rank from the live topology,
+  /// so the next method-less connect anywhere sees the new
+  /// reachability.  Throws std::invalid_argument, like attach(), if
+  /// the pair is already attached.
   void attach_live(simnet::NetId net, core::NodeId node);
 
   /// Remove a live node: detach it from every network it was attached
@@ -266,14 +271,6 @@ class Grid {
   /// Instantiate the planned driver stack on `node` for `net`.
   void wire_attachment(simnet::NetId net, core::NodeId node,
                        const Planned& plan);
-
-  /// Churn hook, fired synchronously by every network's change
-  /// notification: invalidates cached chooser decisions with matching
-  /// precision (a detach drops only decisions towards the detached
-  /// node; an admin/model change drops the decisions of nodes attached
-  /// to that medium).
-  void on_network_change(simnet::NetId net, simnet::Network::Change change,
-                         core::NodeId node);
 
   core::Engine engine_;
   simnet::Fabric fabric_{engine_};

@@ -377,9 +377,13 @@ void Scenario::apply_churn(const ChurnEvent& ev) {
       return;
     }
     case ChurnKind::link_flap: {
-      simnet::Network& net = grid_.fabric().network(cluster_nets_[ev.cluster]);
+      const simnet::NetId id = cluster_nets_[ev.cluster];
+      simnet::Network& net = grid_.fabric().network(id);
       net.set_up(false);
-      eng.schedule_after(ev.duration, [&net] { net.set_up(true); });
+      std::uint32_t& active = ++faults_[{ev.kind, id}];
+      eng.schedule_after(ev.duration, [&net, &active] {
+        if (--active == 0) net.set_up(true);
+      });
       ++churn_applied_;
       obs_churn_->add();
       fold(0x12);
@@ -389,13 +393,16 @@ void Scenario::apply_churn(const ChurnEvent& ev) {
       return;
     }
     case ChurnKind::loss_burst: {
-      simnet::Network& net = grid_.fabric().network(cluster_nets_[ev.cluster]);
-      simnet::LinkModel saved = net.model();
-      simnet::LinkModel burst = saved;
+      const simnet::NetId id = cluster_nets_[ev.cluster];
+      simnet::Network& net = grid_.fabric().network(id);
+      const simnet::LinkModel& profile = spec_.clusters[ev.cluster].profile;
+      simnet::LinkModel burst = profile;
       burst.loss_rate = ev.magnitude;
       net.set_model(std::move(burst));
-      eng.schedule_after(ev.duration,
-                         [&net, saved] { net.set_model(saved); });
+      std::uint32_t& active = ++faults_[{ev.kind, id}];
+      eng.schedule_after(ev.duration, [&net, &active, &profile] {
+        if (--active == 0) net.set_model(profile);
+      });
       ++churn_applied_;
       obs_churn_->add();
       fold(0x13);
@@ -406,14 +413,16 @@ void Scenario::apply_churn(const ChurnEvent& ev) {
     }
     case ChurnKind::wan_brownout: {
       simnet::Network& net = grid_.fabric().network(wan_net_);
-      simnet::LinkModel saved = net.model();
-      simnet::LinkModel dim = saved;
+      const simnet::LinkModel& profile = spec_.wan;
+      simnet::LinkModel dim = profile;
       dim.bytes_per_second = std::max<std::uint64_t>(
           1, static_cast<std::uint64_t>(
-                 static_cast<double>(saved.bytes_per_second) * ev.magnitude));
+                 static_cast<double>(profile.bytes_per_second) * ev.magnitude));
       net.set_model(std::move(dim));
-      eng.schedule_after(ev.duration,
-                         [&net, saved] { net.set_model(saved); });
+      std::uint32_t& active = ++faults_[{ev.kind, wan_net_}];
+      eng.schedule_after(ev.duration, [&net, &active, &profile] {
+        if (--active == 0) net.set_model(profile);
+      });
       ++churn_applied_;
       obs_churn_->add();
       fold(0x14);

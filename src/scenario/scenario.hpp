@@ -25,9 +25,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/bytes.hpp"
@@ -142,6 +144,11 @@ class Scenario {
   // (node, cluster) of every connectable client; node_join appends,
   // node_leave erases.
   std::vector<std::pair<core::NodeId, std::uint32_t>> clients_;
+
+  // Faults in force per (kind, network).  Overlapping faults of one
+  // kind on one network nest: the latest one's setting holds, and the
+  // spec's state (link up, spec profile) comes back when the last ends.
+  std::map<std::pair<ChurnKind, simnet::NetId>, std::uint32_t> faults_;
 
   // Seeded streams: session instants, placement (client/key picks),
   // churn victims — independent so adding churn never shifts the

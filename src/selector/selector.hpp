@@ -29,27 +29,19 @@
 //     trusted infrastructure (kCapSecure, derived from the link
 //     profile): SAN/LAN yes, WAN no, loopback trivially yes.
 //
-// Decisions are cached per destination in a hash map (the connect
-// path probes it once per session open; nothing iterates it).  The
-// cache is invalidated when the driver registry changes
-// (VLink::add_driver notifies the installed policy) and when the WAN
-// override changes; runtime topology churn invalidates *targeted*
-// entries — the Grid subscribes to each network's change
-// notifications and calls `invalidate(dst)` for a detached node, full
-// `invalidate()` only on the choosers of nodes attached to a medium
-// whose link state or model changed.
-//
-// Hit / miss / eviction totals are published as obs counters
-// (`selector.cache.hits` / `.misses` / `.evictions`) on the engine's
-// registry, so cache behaviour shows up in bench snapshots and
-// Perfetto exports next to the vlink traffic counters.
+// Decisions are computed on every call: a few reaches() probes over
+// the node's registry, straight from the current topology, so churn
+// (detach, link flap, model swap, a new driver) needs no notification
+// to reach the selector.  The WAN override is the Chooser's only
+// state.  Caching decisions does not pay: measured by bench/e2e, a
+// per-destination cache answered 3.5-32% of selects, churn evicted
+// nearly everything it held, and it moved no end-to-end metric beyond
+// noise.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 
-#include "obs/registry.hpp"
 #include "selector/net_class.hpp"
 #include "vlink/vlink.hpp"
 
@@ -58,43 +50,28 @@ namespace padico::selector {
 class Chooser final : public vlink::SelectionPolicy {
  public:
   /// Ranks `vlink`'s registry; borrows it (the grid::Node owns both).
-  explicit Chooser(vlink::VLink& vlink);
+  explicit Chooser(vlink::VLink& vlink) : vlink_(&vlink) {}
 
-  /// Distance class of `dst` as seen from this node (cached).
-  NetClass classify(core::NodeId dst);
+  /// Distance class of `dst` as seen from this node.
+  NetClass classify(core::NodeId dst) const { return decide(dst).cls; }
 
   /// Method name choose/select would use for `dst`: a registered
   /// driver's name, or "loopback" for the node itself.  Throws
   /// std::runtime_error if no driver reaches `dst`.
-  std::string choose(core::NodeId dst);
+  std::string choose(core::NodeId dst) const;
 
   /// Whether the chosen path to `dst` stays on trusted infrastructure.
   /// Unreachable peers report false (assume the worst).
-  bool path_secure(core::NodeId dst);
+  bool path_secure(core::NodeId dst) const;
 
   /// Override the method used for wan-class destinations ("" restores
   /// the default ranking).  Ignored for peers the named driver cannot
   /// reach.
-  void set_wan_method(std::string method);
+  void set_wan_method(std::string method) { wan_method_ = std::move(method); }
   const std::string& wan_method() const noexcept { return wan_method_; }
-
-  /// Drop every cached decision.
-  void invalidate();
-
-  /// Drop the cached decision for one destination (targeted churn
-  /// invalidation: one node detached, only paths *to it* changed).
-  void invalidate(core::NodeId dst);
 
   // SelectionPolicy: the connect path of VLink delegates here.
   vlink::Driver* select(core::NodeId dst, core::Error* error) override;
-  void on_drivers_changed() override { invalidate(); }
-
-  // Cache introspection (tests and diagnostics).
-  std::size_t cache_size() const noexcept { return cache_.size(); }
-  std::uint64_t lookups() const noexcept { return lookups_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return lookups_ - hits_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
   struct Decision {
@@ -102,19 +79,10 @@ class Chooser final : public vlink::SelectionPolicy {
     vlink::Driver* driver = nullptr;  // null: loopback or unreachable
   };
 
-  const Decision& decide(core::NodeId dst);
-  Decision compute(core::NodeId dst) const;
+  Decision decide(core::NodeId dst) const;
 
   vlink::VLink* vlink_;
   std::string wan_method_;
-  std::unordered_map<core::NodeId, Decision> cache_;
-  std::uint64_t lookups_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t evictions_ = 0;
-  // Engine-wide cache totals (shared by every chooser on the engine).
-  obs::Counter* obs_hits_;
-  obs::Counter* obs_misses_;
-  obs::Counter* obs_evictions_;
 };
 
 }  // namespace padico::selector

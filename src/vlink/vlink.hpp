@@ -28,8 +28,7 @@ class VLink;
 
 /// Method-selection hook: given a destination node, pick the driver to
 /// connect through.  Implementations rank the owning VLink's registry
-/// (they are notified when it changes, so cached rankings can be
-/// dropped).
+/// as it stands at each call.
 class SelectionPolicy {
  public:
   virtual ~SelectionPolicy() = default;
@@ -38,7 +37,10 @@ class SelectionPolicy {
   /// filled in (Status::unreachable when no driver reaches `dst`).
   virtual Driver* select(core::NodeId dst, core::Error* error) = 0;
 
-  /// The driver registry changed (driver added); drop cached decisions.
+  /// The driver registry changed (driver added).  No policy in src/
+  /// uses it (selector::Chooser keeps no state to refresh); it stays
+  /// because bench/e2e's HookPolicy decorator overrides it, and
+  /// bench/e2e changes only together with the benchmark definition.
   virtual void on_drivers_changed() {}
 };
 

@@ -5,6 +5,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "core/core.hpp"
 #include "selector/selector.hpp"
@@ -59,6 +61,40 @@ TEST(Grid, AttachUndeclaredNodeThrows) {
   grid.add_nodes(2);
   sn::NetId net = grid.add_network(sn::profiles::ethernet100());
   EXPECT_THROW(grid.attach(net, 5), std::out_of_range);
+}
+
+TEST(Grid, DuplicateAttachmentThrowsBeforeAnyMutation) {
+  // A second stack for one (network, node) pair would take over the
+  // first one's network receiver, and method-less connects from that
+  // node would never call back.  Both entry points refuse the pair.
+  gr::Grid grid;
+  grid.add_nodes(2);
+  sn::NetId lan = grid.add_network(sn::profiles::ethernet100());
+  grid.attach(lan, 0);
+  grid.attach(lan, 1);
+  try {
+    grid.attach(lan, 1);
+    ADD_FAILURE() << "duplicate attach() accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("network 0"), std::string::npos);
+  }
+  grid.build();
+  EXPECT_EQ(grid.node(1).vlink().drivers().size(), 2u);  // sysio + adoc
+
+  const pc::NodeId joiner = grid.add_node_live();
+  grid.attach_live(lan, joiner);
+  EXPECT_THROW(grid.attach_live(lan, joiner), std::invalid_argument);
+  EXPECT_EQ(grid.node(joiner).vlink().drivers().size(), 2u);
+
+  bool connected = false;
+  grid.node(0).vlink().listen(7001, [](std::unique_ptr<vl::Link>) {});
+  grid.node(joiner).vlink().connect(
+      {0, 7001}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+        connected = r.ok();
+      });
+  grid.engine().run_until_idle();
+  EXPECT_TRUE(connected);
 }
 
 TEST(Grid, BuildIsIdempotentAndNodeBeforeBuildThrows) {

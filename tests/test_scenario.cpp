@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -370,8 +371,9 @@ TEST(Scenario, TracingDoesNotPerturbTheDigest) {
 
 namespace {
 
-/// tiny_spec plus multi-request sessions and every churn kind — the
-/// workload where a stale cached selector decision would surface.
+/// tiny_spec plus multi-request sessions and one event of every churn
+/// kind, so selection, live mutation and every fault path run
+/// mid-workload.
 sc::ScenarioSpec churny_spec() {
   sc::ScenarioSpec spec = sc::small_world(2, 4, 400, 200'000.0, 7);
   spec.workload.requests_per_session = 3;
@@ -399,8 +401,10 @@ TEST(ScenarioRecorded, TinySpecMatchesTheRecording) {
 }
 
 TEST(ScenarioRecorded, ChurnySpecMatchesTheRecording) {
-  // Stale-decision guard: churn of all five kinds invalidates cached
-  // selector decisions mid-run, and node_leave kills sessions mid-flight.
+  // Equivalence proof for the churn paths: all five kinds change what
+  // the selector answers mid-run (it ranks the live topology on every
+  // call), and node_leave kills sessions mid-flight.  Reworking any of
+  // those paths must leave these constants where they are.
   sc::Scenario s(churny_spec());
   const sc::Report r = s.run();
   EXPECT_EQ(r.digest, "84ca2181b7014d64");
@@ -482,6 +486,47 @@ TEST(Scenario, WanBrownoutSlowsCrossClusterTraffic) {
   EXPECT_EQ(rb.churn_applied, 1u);
   EXPECT_EQ(rb.opened, rb.closed + rb.failed);
   EXPECT_GT(rb.duration, ra.duration);  // starved WAN stretches the run
+}
+
+TEST(Scenario, OverlappingFaultsRestoreTheSpecWhenTheLastOneEnds) {
+  // Two faults of every kind overlap on one network, over [100, 400)
+  // and [200, 500) us: the later fault's setting holds through the
+  // overlap, and the spec's state is back only once both have ended.
+  sc::ScenarioSpec spec = sc::small_world(2, 2, 50, 100'000.0, 5);
+  for (const auto& [at, loss] : {std::pair{100, 0.5}, std::pair{200, 0.25}}) {
+    const core::SimTime t = core::microseconds(at);
+    const core::Duration d = core::microseconds(300);
+    spec.churn.push_back({sc::ChurnKind::link_flap, t, 0, d, 0.0});
+    spec.churn.push_back({sc::ChurnKind::loss_burst, t, 0, d, loss});
+    spec.churn.push_back({sc::ChurnKind::wan_brownout, t, 0, d, 0.25});
+  }
+  sc::Scenario s(std::move(spec));
+  // The scenario declares the WAN first, then one network per cluster.
+  sn::Network& wan = s.grid().fabric().network(0);
+  sn::Network& lan = s.grid().fabric().network(1);
+  ASSERT_EQ(wan.model().name, s.spec().wan.name);
+  ASSERT_TRUE(lan.attached(0));
+  const std::uint64_t wan_bps = s.spec().wan.bytes_per_second;
+
+  bool up_mid = true;
+  double loss_mid = 0.0;
+  std::uint64_t bps_mid = 0;
+  s.grid().engine().schedule_at(core::microseconds(450), [&] {
+    up_mid = lan.up();
+    loss_mid = lan.model().loss_rate;
+    bps_mid = wan.model().bytes_per_second;
+  });
+  const sc::Report r = s.run();
+  EXPECT_EQ(r.churn_applied, 6u);
+  EXPECT_EQ(r.opened, r.closed + r.failed);
+
+  EXPECT_FALSE(up_mid);
+  EXPECT_EQ(loss_mid, 0.25);
+  EXPECT_EQ(bps_mid, wan_bps / 4);  // the spec's bandwidth, not compounded
+
+  EXPECT_TRUE(lan.up());
+  EXPECT_EQ(lan.model().loss_rate, s.spec().clusters[0].profile.loss_rate);
+  EXPECT_EQ(wan.model().bytes_per_second, wan_bps);
 }
 
 // ---------------------------------------------------------------------------

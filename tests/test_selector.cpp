@@ -1,6 +1,6 @@
 // selector::Chooser coverage: classification on the paper's
 // topologies, ranking (including the WAN override), path security,
-// decision caching + invalidation, and the SelectionPolicy plumbing
+// answers through topology churn, and the SelectionPolicy plumbing
 // through VLink::connect.
 #include "selector/selector.hpp"
 
@@ -10,11 +10,9 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "core/core.hpp"
-#include "obs/registry.hpp"
 #include "grid/grid.hpp"
 #include "simnet/simnet.hpp"
 #include "vlink/net_driver.hpp"
@@ -153,173 +151,57 @@ TEST(Selector, PathSecurityFollowsTheProfiles) {
   EXPECT_FALSE(ch.path_secure(2));  // shared WAN backbone
 }
 
-TEST(Selector, DecisionsAreCachedAndInvalidated) {
+TEST(Selector, AnswersFollowTheTopologyThroughChurn) {
+  // Two Myrinet clusters joined by a lossy WAN.  Every answer is
+  // computed from the topology as it stands at the call, so each
+  // change below shows up in the very next answer.
   gr::Grid grid;
-  two_clusters(grid);
+  grid.add_nodes(4);
+  sn::NetId sanA = grid.add_network(sn::profiles::myrinet2000());
+  sn::NetId sanB = grid.add_network(sn::profiles::myrinet2000());
+  sn::NetId wan =
+      grid.add_network(sn::profiles::transcontinental_internet(0.07));
+  grid.attach(sanA, 0);
+  grid.attach(sanA, 1);
+  grid.attach(sanB, 2);
+  grid.attach(sanB, 3);
+  for (pc::NodeId i = 0; i < 4; ++i) grid.attach(wan, i);
+  gr::BuildOptions opts;
+  opts.vrp.max_loss = 0.1;
+  grid.build(opts);
   sel::Chooser& ch = grid.node(0).chooser();
-  // build() itself touches the chooser (set_wan_method seeding) but
-  // makes no decisions; start from the post-build state.
-  const std::uint64_t base_lookups = ch.lookups();
-  EXPECT_EQ(ch.cache_size(), 0u);
-  ch.classify(2);
-  ch.choose(2);
-  ch.path_secure(2);
-  EXPECT_EQ(ch.lookups() - base_lookups, 3u);
-  EXPECT_EQ(ch.hits(), 2u);  // one miss, then cache hits
-  EXPECT_EQ(ch.cache_size(), 1u);
 
-  // The WAN override changes wan-class decisions: cache must drop.
-  ch.set_wan_method("pstream");
-  EXPECT_EQ(ch.cache_size(), 0u);
-  EXPECT_EQ(ch.choose(2), "pstream");
-
-  // Registry growth invalidates too (a better driver may now exist).
-  EXPECT_EQ(ch.cache_size(), 1u);
-  auto extra = std::make_unique<vl::NetDriver>(
-      grid.node(0).host(), grid.fabric().network(2), "sysio2");
-  extra->set_net_class(sel::NetClass::wan);
-  grid.node(0).vlink().add_driver(std::move(extra));
-  EXPECT_EQ(ch.cache_size(), 0u);
-}
-
-TEST(Selector, TargetedInvalidationDropsOnlyThatDestination) {
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  ch.choose(1);
-  ch.choose(2);
-  ch.choose(3);
-  EXPECT_EQ(ch.cache_size(), 3u);
-  const std::uint64_t ev_before = ch.evictions();
-
-  ch.invalidate(2);
-  EXPECT_EQ(ch.cache_size(), 2u);
-  EXPECT_EQ(ch.evictions(), ev_before + 1);
-  // Idempotent: a miss evicts nothing.
-  ch.invalidate(2);
-  EXPECT_EQ(ch.evictions(), ev_before + 1);
-
-  // The surviving entries still hit; the dropped one recomputes.
-  const std::uint64_t hits_before = ch.hits();
-  EXPECT_EQ(ch.choose(1), "madio");
-  EXPECT_EQ(ch.hits(), hits_before + 1);
+  // A model swap re-ranks: the clean profile drops the vrp preference,
+  // and the lossy one brings it back.
+  EXPECT_EQ(ch.choose(2), "vrp");
+  sn::Network& wan_net = grid.fabric().network(wan);
+  const sn::LinkModel lossy = wan_net.model();
+  wan_net.set_model(sn::profiles::vthd_wan());
   EXPECT_EQ(ch.choose(2), "sysio");
-  EXPECT_EQ(ch.hits(), hits_before + 1);  // recomputed, not served stale
-  EXPECT_EQ(ch.cache_size(), 3u);
-}
+  wan_net.set_model(lossy);
+  EXPECT_EQ(ch.choose(2), "vrp");
 
-TEST(Selector, CachedAnswersMatchAFreshChooserThroughChurn) {
-  // Differential guard for the decision cache: after every topology
-  // change, each answer node 0's (cached) chooser gives must equal the
-  // answer of a chooser built from scratch over the same VLink.
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  const auto answer = [](sel::Chooser& c, pc::NodeId dst) {
-    std::string method;
-    try {
-      method = c.choose(dst);
-    } catch (const std::runtime_error&) {
-      method = "<unreachable>";
-    }
-    return std::tuple{method, c.classify(dst), c.path_secure(dst)};
-  };
-  const auto expect_fresh_answers = [&](const char* stage) {
-    sel::Chooser fresh(grid.node(0).vlink());
-    fresh.set_wan_method(ch.wan_method());
-    // Two passes: the first may recompute, the second is served from
-    // the cache and must still agree.
-    for (int pass = 0; pass < 2; ++pass) {
-      for (pc::NodeId dst = 0; dst < 4; ++dst) {
-        EXPECT_EQ(answer(ch, dst), answer(fresh, dst))
-            << stage << ", pass " << pass << ", dst " << dst;
-      }
-    }
-  };
+  // A live joiner is unreachable until attached, then rides the SAN
+  // both ways.
+  const pc::NodeId joiner = grid.add_node_live();
+  EXPECT_THROW(ch.choose(joiner), std::runtime_error);
+  grid.attach_live(sanA, joiner);
+  EXPECT_EQ(ch.choose(joiner), "madio");
+  EXPECT_EQ(grid.node(joiner).chooser().choose(1), "madio");
 
-  expect_fresh_answers("warm");
-  const std::uint64_t hits_before = ch.hits();
-  grid.fabric().network(2).detach(2);  // node 2 leaves the WAN
-  expect_fresh_answers("detach");
-  grid.fabric().network(0).set_up(false);  // sanA goes dark
-  expect_fresh_answers("set_up(false)");
-  grid.fabric().network(2).set_model(
-      sn::profiles::transcontinental_internet(0.07));
-  expect_fresh_answers("set_model");
-  EXPECT_GT(ch.hits(), hits_before);  // cached answers were compared
-}
-
-TEST(Selector, CacheCountersArePublished) {
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  ch.choose(2);
-  ch.choose(2);
-  ch.invalidate();
-  const padico::obs::Registry& reg = grid.engine().obs();
-  const auto* hits = reg.find_counter("selector.cache.hits");
-  const auto* misses = reg.find_counter("selector.cache.misses");
-  const auto* evictions = reg.find_counter("selector.cache.evictions");
-  ASSERT_NE(hits, nullptr);
-  ASSERT_NE(misses, nullptr);
-  ASSERT_NE(evictions, nullptr);
-  // Counters are engine-wide (all four choosers merge into the same
-  // slots), so exact values belong to the accessor tests above; here
-  // the registered slots must have seen this chooser's traffic.
-  EXPECT_GE(hits->value(), 1u);
-  EXPECT_GE(misses->value(), 1u);
-  EXPECT_GE(evictions->value(), 1u);
-}
-
-TEST(Selector, NodeRemovalInvalidatesOnlyTheVictim) {
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  ch.choose(1);
-  ch.choose(2);
-  ch.choose(3);
-  EXPECT_EQ(ch.cache_size(), 3u);
-
-  // Live removal detaches node 3 everywhere: every chooser drops its
-  // entry for dst 3 — and ONLY that entry.
+  // A removed node is unreachable; every other answer stays put.
   grid.remove_node_live(3);
-  EXPECT_EQ(ch.cache_size(), 2u);
-  const std::uint64_t hits_before = ch.hits();
-  ch.choose(1);
-  ch.choose(2);
-  EXPECT_EQ(ch.hits(), hits_before + 2);  // survivors still cached
-  EXPECT_THROW(ch.choose(3), std::runtime_error);  // recomputed fresh
-}
+  EXPECT_THROW(ch.choose(3), std::runtime_error);
+  pc::Error error;
+  EXPECT_EQ(ch.select(3, &error), nullptr);
+  EXPECT_EQ(error.status, pc::Status::unreachable);
+  EXPECT_EQ(ch.choose(1), "madio");
+  EXPECT_EQ(ch.choose(2), "vrp");
 
-TEST(Selector, LinkChurnInvalidatesAttachedChoosersOnly) {
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch0 = grid.node(0).chooser();  // attached to sanA + wan
-  sel::Chooser& ch2 = grid.node(2).chooser();  // attached to sanB + wan
-  ch0.choose(1);
-  ch0.choose(2);
-  ch2.choose(3);
-  ch2.choose(0);
-  EXPECT_EQ(ch0.cache_size(), 2u);
-  EXPECT_EQ(ch2.cache_size(), 2u);
-
-  // Admin-down of sanA (network 0): only choosers of nodes attached
-  // to it (0 and 1) flush; node 2's cache is untouched.
-  grid.fabric().network(0).set_up(false);
-  EXPECT_EQ(ch0.cache_size(), 0u);
-  EXPECT_EQ(ch2.cache_size(), 2u);
-  // Re-raising the link flushes again; a no-op set_up does nothing.
-  ch0.choose(1);
-  grid.fabric().network(0).set_up(true);
-  EXPECT_EQ(ch0.cache_size(), 0u);
-  ch0.choose(1);
-  grid.fabric().network(0).set_up(true);  // already up: no flush
-  EXPECT_EQ(ch0.cache_size(), 1u);
-
-  // A model swap on the WAN (network 2) touches everyone.
-  grid.fabric().network(2).set_model(sn::profiles::transcontinental_internet(0.07));
-  EXPECT_EQ(ch0.cache_size(), 0u);
-  EXPECT_EQ(ch2.cache_size(), 0u);
+  // Node 2 leaving the WAN cuts node 0's only path to it.
+  wan_net.detach(2);
+  EXPECT_THROW(ch.choose(2), std::runtime_error);
+  EXPECT_FALSE(ch.path_secure(2));
 }
 
 TEST(Selector, UnreachablePeerClassifiesWanAndFailsChoose) {
