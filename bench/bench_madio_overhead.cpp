@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
               "software overhead on real\n# hardware); the naive scheme pays "
               "a full extra per-message cost.\n");
 
-#ifdef BENCH_HAVE_JSOCK
   // Full-stack reference: Java-socket ping-pong over the built Grid.
   // On the testbed the chooser routes the vlink over the madio driver,
   // so one round trip crosses personality (JVM CPU charge), vlink
@@ -141,6 +140,5 @@ int main(int argc, char** argv) {
                 "Java-socket one-way, full grid", lat.value);
     session.metric("jsock_fullstack.latency", "us", lat);
   }
-#endif
   return 0;
 }

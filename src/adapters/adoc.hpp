@@ -17,13 +17,15 @@
 // current payload's prefix and converge to an EWMA of observed full
 // frames; `pin_level()` freezes the choice for ablation arms.
 //
+// Establishment: a one-shot hello on a base connection to
+// `sub_port(P)`; the acceptor side is AdapterDriver's.
+//
 // AdOC adds no reliability of its own (`lossy()` forwards the base):
 // it belongs on reliable paths, or under VRP-style recovery.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -31,7 +33,7 @@
 #include "core/host.hpp"
 #include "middleware/personality.hpp"
 #include "simnet/network.hpp"
-#include "vlink/driver.hpp"
+#include "vlink/adapter_driver.hpp"
 #include "vlink/link.hpp"
 
 namespace padico::vlink {
@@ -74,8 +76,9 @@ std::optional<Header> decode_header(core::ByteView frame);
 /// The base-driver port an adoc rendezvous on logical port `p` uses
 /// (involution; image disjoint from pstream's `^ 0x8000` and vrp's
 /// `^ 0x4000`).
+inline constexpr core::Port kPortMask = 0xC000;
 constexpr core::Port sub_port(core::Port p) {
-  return static_cast<core::Port>(p ^ 0xC000);
+  return static_cast<core::Port>(p ^ kPortMask);
 }
 
 }  // namespace adoc
@@ -153,53 +156,24 @@ class AdocLink final : public Link {
   const char* trace_decode_;  // interned "adoc.decode"
 };
 
-class AdocDriver final : public Driver {
+class AdocDriver final : public AdapterDriver {
  public:
   /// Adapts `base` (borrowed; registered on the same VLink before this
   /// driver).  `net` (nullable) is sensed for transmit backlog.
   AdocDriver(core::Host& host, Driver& base, std::string name,
              simnet::Network* net);
-  ~AdocDriver() override;
 
-  void listen(core::Port port, AcceptFn on_accept) override;
-  void unlisten(core::Port port) override;
-  bool listening(core::Port port) const override {
-    return listeners_.count(port) != 0;
-  }
-  bool can_listen(core::Port port) const override {
-    return listeners_.count(port) != 0 ||
-           !base_->listening(adoc::sub_port(port));
-  }
   void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
-  bool reaches(core::NodeId node) const override {
-    return base_->reaches(node);
-  }
 
   // Compression adds no recovery; a lossy base stays lossy.
-  bool lossy() const override { return base_->lossy(); }
+  bool lossy() const override { return base().lossy(); }
 
-  Driver& base() const noexcept { return *base_; }
-
-  /// Establishment frames that failed to parse (their link dropped).
-  std::uint64_t malformed_hellos() const noexcept { return malformed_hellos_; }
+ protected:
+  bool on_hello(std::unique_ptr<Link>& base, core::Port port,
+                core::ByteView hello, const AcceptFn& on_accept) override;
 
  private:
-  struct PendingAccept {
-    std::unique_ptr<Link> base;
-    core::Port logical_port = 0;
-    bool done = false;  // swept lazily at the next base accept
-  };
-
-  void on_accept_frame(std::uint64_t key, core::ByteView frame);
-
-  core::Host* host_;
-  Driver* base_;
   simnet::Network* net_;
-  std::uint64_t next_accept_key_ = 1;
-  std::uint64_t malformed_hellos_ = 0;
-  std::map<core::Port, AcceptFn> listeners_;
-  std::map<std::uint64_t, PendingAccept> accepting_;
-  std::shared_ptr<char> alive_ = std::make_shared<char>();
 };
 
 }  // namespace padico::vlink

@@ -1,5 +1,6 @@
 // Driver interface: one access method ("madio", "sysio", "pstream",
-// later "vrp", "adoc") for reaching peers on some network.
+// "vrp", "adoc") for reaching peers on some network; FrameDriver and
+// AdapterDriver implement it for base transports and stacked adapters.
 //
 // Beyond listen/connect, a driver advertises what kind of path it
 // serves: a NetClass affinity (which distance class it is the natural
@@ -16,10 +17,9 @@
 #include "core/result.hpp"
 #include "core/time.hpp"
 #include "selector/net_class.hpp"
+#include "vlink/link.hpp"
 
 namespace padico::vlink {
-
-class Link;
 
 /// Address of a remote vlink endpoint.
 struct RemoteAddr {
@@ -61,7 +61,8 @@ class Driver {
   virtual void unlisten(core::Port port) = 0;
 
   /// True if a listener is currently installed on `port` (adapters
-  /// that claim ports on a base driver use this to detect collisions).
+  /// that claim ports on a base driver, and VLink::listen, use this to
+  /// detect collisions).
   virtual bool listening(core::Port port) const = 0;
 
   /// True if listen(port) would succeed without disturbing any other
@@ -84,6 +85,18 @@ class Driver {
   /// a lossy LinkModel without a recovery protocol).  The Chooser
   /// prefers a kCapLossTolerant sibling over a lossy default.
   virtual bool lossy() const { return false; }
+
+ protected:
+  /// For connect(): true if `remote.node` is reachable; otherwise
+  /// fails `on_connect` with Status::unreachable and returns false.
+  bool check_reachable(const RemoteAddr& remote,
+                       const ConnectFn& on_connect) const {
+    if (reaches(remote.node)) return true;
+    on_connect(core::Result<std::unique_ptr<Link>>::err(
+        core::Status::unreachable,
+        name() + ": node " + std::to_string(remote.node) + " not reachable"));
+    return false;
+  }
 
  private:
   std::string name_;

@@ -66,13 +66,7 @@ void FrameDriver::listen(core::Port port, AcceptFn on_accept) {
 void FrameDriver::unlisten(core::Port port) { listeners_.erase(port); }
 
 void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
-  if (!reaches(remote.node)) {
-    on_connect(core::Result<std::unique_ptr<Link>>::err(
-        core::Status::unreachable, name() + ": node " +
-                                       std::to_string(remote.node) +
-                                       " not reachable"));
-    return;
-  }
+  if (!check_reachable(remote, on_connect)) return;
   // Connection ids are globally unique: origin node in the high bits,
   // per-driver counter below.
   const std::uint64_t conn_id =

@@ -23,16 +23,6 @@ core::Completion<core::Bytes> Link::read_n(std::size_t n) {
   return c;
 }
 
-core::Completion<core::Bytes> Link::read_some() {
-  core::Completion<core::Bytes> c;
-  if (pending_.empty() && available() > 0) {
-    c.complete(read_available());
-    return c;
-  }
-  pending_.push_back(PendingRead{kAnyBytes, c});
-  return c;
-}
-
 void Link::deliver(core::ByteView data) {
   ++rx_frames_;
   rx_bytes_ += data.size();
@@ -82,14 +72,12 @@ core::Bytes Link::take(std::size_t n) {
 
 void Link::drain() {
   while (!pending_.empty()) {
-    const std::size_t want = pending_.front().n;
-    if (want == kAnyBytes ? available() == 0 : available() < want) break;
+    if (available() < pending_.front().n) break;
     PendingRead req = std::move(pending_.front());
     pending_.pop_front();
     // complete() may resume a coroutine that immediately calls read_n
     // or post_write again; the deque is in a consistent state here.
-    req.completion.complete(want == kAnyBytes ? read_available()
-                                              : take(want));
+    req.completion.complete(take(req.n));
   }
 }
 

@@ -150,61 +150,17 @@ core::Task PstreamLink::run_reader(std::size_t i) {
 
 PstreamDriver::PstreamDriver(core::Host& host, Driver& base, std::string name,
                              int width)
-    : Driver(std::move(name)), host_(&host), base_(&base), width_(width) {
+    : AdapterDriver(host, base, std::move(name), pstream::kPortMask),
+      width_(width) {
   assert(width >= 1 && width <= 255 && "hello index is one byte");
 }
 
-// The base driver may already be gone during whole-VLink teardown
-// (drivers die in registration order), so the destructor must not
-// unlisten through it; dropped listens die with the base driver.
-PstreamDriver::~PstreamDriver() = default;
-
-void PstreamDriver::listen(core::Port port, AcceptFn on_accept) {
-  // Detect the P / P^0x8000 pair collision loudly: if the mapped
-  // rendezvous port is already served on the base driver (or a pstream
-  // listener already owns it), a silent listeners_[...] overwrite
-  // would swallow one of the two streams of traffic.
-  if (listeners_.count(port) == 0 &&
-      base_->listening(pstream::sub_port(port))) {
-    throw std::logic_error(
-        name() + ": rendezvous port " +
-        std::to_string(pstream::sub_port(port)) + " (for logical port " +
-        std::to_string(port) + ") is already listened on via " +
-        base_->name());
-  }
-  listeners_[port] = std::move(on_accept);
-  base_->listen(pstream::sub_port(port), [this, port](std::unique_ptr<Link> sub) {
-    // Lazy sweep: hellos that finished since the last accept are
-    // suspended at their final point and safe to destroy now.
-    std::erase_if(hellos_, [](const auto& kv) { return kv.second.done; });
-    const std::uint64_t key = next_hello_key_++;
-    auto [it, inserted] = hellos_.emplace(key, PendingHello{});
-    assert(inserted);
-    it->second.sub = std::move(sub);
-    it->second.reader = read_hello(key, port);
-  });
-}
-
-void PstreamDriver::unlisten(core::Port port) {
-  // Only release the mapped base port if this logical port actually
-  // claimed it — an unlisten of a never-listened port must not tear
-  // down whatever else lives at `sub_port(port)` on the base driver.
-  if (listeners_.erase(port) == 0) return;
-  base_->unlisten(pstream::sub_port(port));
-}
-
 void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
-  if (!reaches(remote.node)) {
-    on_connect(core::Result<std::unique_ptr<Link>>::err(
-        core::Status::unreachable, name() + ": node " +
-                                       std::to_string(remote.node) +
-                                       " not reachable"));
-    return;
-  }
+  if (!check_reachable(remote, on_connect)) return;
   // Group ids are globally unique: origin node in the high bits (two
   // connectors must never collide at one acceptor), counter below.
   const std::uint64_t group =
-      (static_cast<std::uint64_t>(host_->id()) << 40) | next_group_++;
+      (static_cast<std::uint64_t>(host().id()) << 40) | next_group_++;
 
   struct Pending {
     ConnectFn fn;
@@ -221,10 +177,12 @@ void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   pc->subs.resize(static_cast<std::size_t>(width_));
 
   for (int i = 0; i < width_; ++i) {
-    base_->connect(
-        {remote.node, pstream::sub_port(remote.port)},
-        [this, pc, i, group](core::Result<std::unique_ptr<Link>> r) {
-          if (pc->failed) return;  // a sibling already reported the error
+    base().connect(
+        {remote.node, rendezvous_port(remote.port)},
+        [this, w = alive(), pc, i, group](
+            core::Result<std::unique_ptr<Link>> r) {
+          // Gone, or a sibling already reported the error.
+          if (w.expired() || pc->failed) return;
           if (!r.ok()) {
             pc->failed = true;
             pc->subs.clear();  // abandon already-established sub-links
@@ -234,8 +192,8 @@ void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
             return;
           }
           std::unique_ptr<Link> sub = std::move(*r);
-          // The hello paces ahead of any user data in this sub-link's
-          // FIFO byte stream, so the acceptor always sees it first.
+          // The hello is its own base message, pacing ahead of any user
+          // data in this sub-link's FIFO: the acceptor reads it first.
           pstream::SubHeader hello;
           hello.kind = pstream::SubKind::hello;
           hello.index = static_cast<std::uint8_t>(i);
@@ -246,7 +204,7 @@ void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
           pc->subs[static_cast<std::size_t>(i)] = std::move(sub);
           if (++pc->connected == pc->width) {
             auto link = std::make_unique<PstreamLink>(
-                host_->engine(), pc->remote.node,
+                host().engine(), pc->remote.node,
                 pc->subs.front()->local_port(), pc->remote.port,
                 std::move(pc->subs));
             pc->fn(core::Result<std::unique_ptr<Link>>(std::move(link)));
@@ -255,47 +213,39 @@ void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   }
 }
 
-core::Task PstreamDriver::read_hello(std::uint64_t key,
-                                     core::Port logical_port) {
-  PendingHello& ph = hellos_.at(key);  // node-stable across map churn
-  core::Bytes raw = co_await ph.sub->read_n(pstream::kSubHeaderSize);
-  const std::optional<pstream::SubHeader> h =
-      pstream::decode_sub(core::view_of(raw));
-  // Width is bounded by the one-byte index field; a wider claim can
-  // never complete and would strand its group, so it is garbage.
-  bool ok = h && h->kind == pstream::SubKind::hello && h->width >= 1 &&
-            h->width <= 255 && h->index < h->width &&
-            h->port == logical_port;
-  if (ok) {
-    PendingGroup& g = accepting_[h->id];
-    if (g.slots.empty()) {
-      g.port = logical_port;
-      g.width = h->width;
-      g.slots.resize(h->width);
-    }
-    if (g.width != h->width || g.port != logical_port ||
-        g.slots[h->index] != nullptr) {
-      ok = false;  // inconsistent sibling; drop this sub-link only
-    } else {
-      g.slots[h->index] = std::move(ph.sub);
-      if (++g.filled == g.width) {
-        PendingGroup done = std::move(g);
-        accepting_.erase(h->id);
-        auto lit = listeners_.find(logical_port);
-        if (lit == listeners_.end()) {
-          ok = false;  // unlistened mid-establishment; drop the group
-        } else {
-          Link* first = done.slots.front().get();
-          auto link = std::make_unique<PstreamLink>(
-              host_->engine(), first->remote_node(), logical_port,
-              first->remote_port(), std::move(done.slots));
-          lit->second(std::move(link));
-        }
-      }
-    }
+bool PstreamDriver::on_hello(std::unique_ptr<Link>& sub, core::Port port,
+                             core::ByteView hello, const AcceptFn& on_accept) {
+  const std::optional<pstream::SubHeader> h = pstream::decode_sub(hello);
+  // The connector posts the hello alone, so anything but exactly one
+  // sub-frame header is garbage.  Width is bounded by the one-byte
+  // index field; a wider claim can never complete and would strand its
+  // group, so it is garbage too.
+  if (!h || hello.size() != pstream::kSubHeaderSize ||
+      h->kind != pstream::SubKind::hello || h->width < 1 ||
+      h->width > 255 || h->index >= h->width || h->port != port) {
+    return false;
   }
-  if (!ok) ++malformed_hellos_;
-  ph.done = true;
+  PendingGroup& g = accepting_[h->id];
+  if (g.slots.empty()) {
+    g.port = port;
+    g.width = h->width;
+    g.slots.resize(h->width);
+  }
+  if (g.width != h->width || g.port != port || g.slots[h->index] != nullptr) {
+    return false;  // inconsistent sibling; drop this sub-link only
+  }
+  // Back to stream mode: chunks that arrive before the group completes
+  // buffer in the sub-link until its PstreamLink reader starts.
+  sub->set_datagram_handler(nullptr);
+  g.slots[h->index] = std::move(sub);
+  if (++g.filled < g.width) return true;
+  PendingGroup done = std::move(g);
+  accepting_.erase(h->id);
+  Link* first = done.slots.front().get();
+  on_accept(std::make_unique<PstreamLink>(host().engine(), first->remote_node(),
+                                          port, first->remote_port(),
+                                          std::move(done.slots)));
+  return true;
 }
 
 }  // namespace padico::vlink

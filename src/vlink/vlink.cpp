@@ -39,9 +39,12 @@ void VLink::set_policy(SelectionPolicy* policy) {
 void VLink::listen(core::Port port, Driver::AcceptFn on_accept) {
   // Validate across ALL drivers before registering with any, so a
   // port-space collision (e.g. pstream's P ^ 0x8000 rendezvous
-  // mapping) throws with every driver's books untouched.
+  // mapping) throws with every driver's books untouched.  A port not
+  // already ours is refused while any driver serves it (e.g. as an
+  // adapter's rendezvous): listening would replace that handler.
+  const bool relisten = listens_.count(port) != 0;
   for (const auto& d : drivers_) {
-    if (!d->can_listen(port)) {
+    if (!d->can_listen(port) || (!relisten && d->listening(port))) {
       throw std::logic_error("vlink: driver '" + d->name() +
                              "' cannot listen on port " +
                              std::to_string(port) +

@@ -78,7 +78,10 @@ class VLink {
   /// care which network the peer arrives on) — including drivers that
   /// register after this call.  Throws std::logic_error, with no
   /// driver mutated, if any driver reports a port-space collision
-  /// (`Driver::can_listen`).
+  /// (`Driver::can_listen`), or — unless `port` is already a listen of
+  /// this VLink, which a re-listen updates on every driver — if any
+  /// driver already serves `port` (`Driver::listening`), e.g. as an
+  /// adapter's rendezvous port.
   void listen(core::Port port, Driver::AcceptFn on_accept);
 
   /// Stop accepting on `port` on every driver and forget the sticky

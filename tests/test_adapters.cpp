@@ -1,8 +1,9 @@
 // The adapter layer: padico::compress codecs, the VRP loss-tolerant
-// retransmit/give-up FSM, and the AdOC adaptive compression
-// controller — all driven end-to-end through Grid-built topologies on
-// the deterministic engine, so every loss pattern and every controller
-// decision is reproducible.
+// retransmit/give-up FSM, the AdOC adaptive compression controller,
+// and the rendezvous contract every adapter (pstream included)
+// inherits from vlink::AdapterDriver — all driven end-to-end through
+// Grid-built topologies on the deterministic engine, so every loss
+// pattern and every controller decision is reproducible.
 #include "adapters/adoc.hpp"
 #include "adapters/vrp.hpp"
 
@@ -17,6 +18,7 @@
 #include "core/core.hpp"
 #include "grid/grid.hpp"
 #include "simnet/simnet.hpp"
+#include "vlink/pstream_driver.hpp"
 
 namespace pc = padico::core;
 namespace sn = padico::simnet;
@@ -406,15 +408,130 @@ TEST(Adoc, ControllerSwitchesLevelMidStream) {
   EXPECT_GE(adoc->level_switches(), 1u);
 }
 
-TEST(Adoc, ListenCollisionOnRendezvousPortThrows) {
-  Pair p(sn::profiles::ethernet100(), 0.0);
-  vl::VLink& v1 = p.grid.node(1).vlink();
-  // The adoc rendezvous for logical port 6000 claims base port
-  // 6000 ^ 0xC000 on "sysio"; listening there first must collide.
-  v1.driver("sysio")->listen(
-      static_cast<pc::Port>(6000 ^ 0xC000),
-      [](std::unique_ptr<vl::Link>) {});
-  EXPECT_THROW(
-      v1.driver("adoc")->listen(6000, [](std::unique_ptr<vl::Link>) {}),
-      std::logic_error);
+// ---------------------------------------------------------------------------
+// Adapter contract: the rendezvous rules every adapter inherits from
+// vlink::AdapterDriver, checked on pstream, vrp and adoc alike.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct AdapterCase {
+  const char* method;
+  sn::LinkModel (*model)();
+  pc::Port (*sub_port)(pc::Port);
+};
+
+class AdapterContract : public testing::TestWithParam<AdapterCase> {
+ protected:
+  static constexpr pc::Port kPort = 6000;
+
+  AdapterContract() : p_(GetParam().model(), 0.0) {}
+
+  vl::AdapterDriver* adapter(pc::NodeId n) {
+    return dynamic_cast<vl::AdapterDriver*>(
+        p_.grid.node(n).vlink().driver(GetParam().method));
+  }
+  pc::Port rendezvous() const { return GetParam().sub_port(kPort); }
+
+  Pair p_;
+};
+
+void sink(std::unique_ptr<vl::Link>) {}
+
+}  // namespace
+
+TEST_P(AdapterContract, BaseFirstListenOnRendezvousPortThrows) {
+  vl::AdapterDriver* drv = adapter(1);
+  ASSERT_NE(drv, nullptr);
+  drv->base().listen(rendezvous(), sink);
+  EXPECT_THROW(drv->listen(kPort, sink), std::logic_error);
+  EXPECT_FALSE(drv->listening(kPort));
 }
+
+TEST_P(AdapterContract, VLinkListenCannotTakeOverTheRendezvousPort) {
+  vl::AdapterDriver* drv = adapter(1);
+  ASSERT_NE(drv, nullptr);
+  drv->listen(kPort,
+              [&](std::unique_ptr<vl::Link> l) { p_.b = std::move(l); });
+  bool stolen = false;
+  EXPECT_THROW(p_.grid.node(1).vlink().listen(
+                   rendezvous(),
+                   [&](std::unique_ptr<vl::Link>) { stolen = true; }),
+               std::logic_error);
+  p_.grid.node(0).vlink().connect(
+      GetParam().method, {1, kPort},
+      [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+        ASSERT_TRUE(r.ok()) << r.error().message;
+        p_.a = std::move(*r);
+      });
+  p_.grid.engine().run_while_pending([&] { return p_.a && p_.b; });
+  EXPECT_TRUE(p_.a && p_.b);
+  EXPECT_FALSE(stolen);
+}
+
+TEST_P(AdapterContract, RelistenReplacesHandlerAndUnlistenReleasesBasePort) {
+  vl::AdapterDriver* drv = adapter(1);
+  ASSERT_NE(drv, nullptr);
+  bool first_fired = false;
+  drv->listen(kPort, [&](std::unique_ptr<vl::Link>) { first_fired = true; });
+  p_.connect(GetParam().method, kPort);  // re-listens, then connects
+  EXPECT_FALSE(first_fired);
+  drv->unlisten(kPort);
+  EXPECT_FALSE(drv->listening(kPort));
+  EXPECT_FALSE(drv->base().listening(rendezvous()));
+  // A port the adapter never claimed stays the base driver's business.
+  drv->base().listen(rendezvous(), sink);
+  drv->unlisten(kPort);
+  EXPECT_TRUE(drv->base().listening(rendezvous()));
+}
+
+TEST_P(AdapterContract, GarbageHelloIsCountedAndARealConnectStillWorks) {
+  vl::AdapterDriver* drv = adapter(1);
+  vl::AdapterDriver* client = adapter(0);
+  ASSERT_NE(drv, nullptr);
+  ASSERT_NE(client, nullptr);
+  bool accepted = false;
+  drv->listen(kPort, [&](std::unique_ptr<vl::Link>) { accepted = true; });
+  std::unique_ptr<vl::Link> raw;
+  client->base().connect({1, rendezvous()},
+                         [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+                           ASSERT_TRUE(r.ok()) << r.error().message;
+                           raw = std::move(*r);
+                         });
+  p_.grid.engine().run_while_pending([&] { return raw != nullptr; });
+  ASSERT_TRUE(raw);
+  pc::Bytes junk = random_payload(24, 0x5eed0014);
+  junk[0] = 0xff;  // never any adapter's magic
+  raw->post_write(pc::view_of(junk));
+  p_.grid.engine().run_until_idle();
+  EXPECT_EQ(drv->malformed_hellos(), 1u);
+  EXPECT_FALSE(accepted);
+  p_.connect(GetParam().method, kPort);
+}
+
+TEST_P(AdapterContract, UnreachablePeerFailsBeforeConnectReturns) {
+  vl::AdapterDriver* drv = adapter(0);
+  ASSERT_NE(drv, nullptr);
+  ASSERT_FALSE(drv->base().reaches(0));  // self: no base path
+  std::optional<pc::Status> status;
+  drv->connect({0, kPort}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+    status = r.status();
+  });
+  EXPECT_EQ(status, pc::Status::unreachable);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Adapters, AdapterContract,
+    testing::Values(
+        AdapterCase{"pstream", [] { return sn::profiles::vthd_wan(); },
+                    vl::pstream::sub_port},
+        AdapterCase{"vrp",
+                    [] {
+                      return sn::profiles::transcontinental_internet(0.001);
+                    },
+                    vl::vrp::sub_port},
+        AdapterCase{"adoc", [] { return sn::profiles::ethernet100(); },
+                    vl::adoc::sub_port}),
+    [](const testing::TestParamInfo<AdapterCase>& info) {
+      return std::string(info.param.method);
+    });

@@ -1,8 +1,9 @@
-// "pstream" parallel-stream driver coverage: establishment, striped
-// reassembly (including forced out-of-order arrival), the width-1
-// degenerate case, garbage sub-frames (hello and data paths), the
-// per-sub-link flow accounting, and byte-identical determinism of a
-// striped transfer across two runs.
+// "pstream" parallel-stream driver coverage: establishment (including
+// an unlisten mid-establishment), striped reassembly (including forced
+// out-of-order arrival), the width-1 degenerate case, garbage
+// sub-frames (hello and data paths), the per-sub-link flow accounting,
+// and byte-identical determinism of a striped transfer across two
+// runs.
 #include "vlink/pstream_driver.hpp"
 
 #include <gtest/gtest.h>
@@ -370,6 +371,32 @@ TEST(Pstream, OversizedHelloWidthIsGarbageNotAStrandedGroup) {
   grid.engine().run_until_idle();
   EXPECT_EQ(drv->malformed_hellos(), 1u);
   EXPECT_EQ(drv->pending_groups(), 0u);
+}
+
+TEST(Pstream, UnlistenMidEstablishmentNeverAccepts) {
+  // The port goes away after the first hello of a width-4 group
+  // arrived: the remaining hellos must drop their sub-links without
+  // completing the group (and never from inside a sub-link's own
+  // delivery — ASan-checked in CI), and the listener must never fire.
+  gr::Grid grid;
+  wan_pair(grid, 4);
+  const pc::Port port = 5290;
+  auto* drv = dynamic_cast<vl::PstreamDriver*>(
+      grid.node(1).vlink().driver("pstream"));
+  ASSERT_NE(drv, nullptr);
+  drv->listen(port,
+              [](std::unique_ptr<vl::Link>) { FAIL() << "must not accept"; });
+  std::unique_ptr<vl::Link> a;
+  grid.node(0).vlink().connect(
+      "pstream", {1, port}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+        if (r.ok()) a = std::move(*r);
+      });
+  grid.engine().run_while_pending([&] { return drv->pending_groups() == 1; });
+  ASSERT_EQ(drv->pending_groups(), 1u);
+  drv->unlisten(port);
+  grid.engine().run_until_idle();
+  // Like a group its connector abandoned, it stays visible as pending.
+  EXPECT_EQ(drv->pending_groups(), 1u);
 }
 
 TEST(Pstream, StripedTransferIsDeterministicAcrossRuns) {
