@@ -51,7 +51,7 @@ double vlink_latency_with_combining(bool combining) {
   gr::Grid grid;
   setup_grid(grid, combining);
   LinkPair p = make_link_pair(grid, "madio", 4910);
-  return link_latency_us(grid, p);
+  return link_latency_run(grid, p).value;
 }
 
 /// Build the paper testbed with combining on/off and measure MPI.
@@ -59,8 +59,8 @@ std::pair<double, double> mpi_with_combining(bool combining) {
   gr::Grid grid;
   setup_grid(grid, combining);
   MpiPair p = make_mpi_pair(grid, 0x80, 4900);
-  const double lat = mpi_latency_us(grid, p);
-  const double bw_small = mpi_bandwidth_mbps(grid, p, 256);
+  const double lat = mpi_latency_run(grid, p).value;
+  const double bw_small = mpi_bandwidth_run(grid, p, 256).value;
   return {lat, bw_small};
 }
 

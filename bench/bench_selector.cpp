@@ -44,7 +44,7 @@ double auto_bw(int dst, const std::string& wan_method) {
       });
   grid.engine().run_while_pending([&] { return a && b; });
   LinkPair p{std::move(a), std::move(b)};
-  return link_bandwidth_mbps(grid, p, 128 * 1024, 32);
+  return link_bandwidth_run(grid, p, 128 * 1024, 32).value;
 }
 
 /// Bandwidth node0 -> node`dst` with a pinned method.
@@ -65,7 +65,7 @@ double pinned_bw(int dst, const std::string& method) {
       });
   grid.engine().run_while_pending([&] { return a && b; });
   LinkPair p{std::move(a), std::move(b)};
-  return link_bandwidth_mbps(grid, p, 128 * 1024, 32);
+  return link_bandwidth_run(grid, p, 128 * 1024, 32).value;
 }
 
 }  // namespace

@@ -102,8 +102,8 @@ inline Stats bootstrap_stats(const std::vector<double>& samples,
   return st;
 }
 
-/// One measurement: the headline figure (identical to what the scalar
-/// drivers return) plus the per-round / per-window samples behind it.
+/// One measurement: the headline figure plus the per-round /
+/// per-window samples behind it.
 struct Run {
   double value = 0;
   std::vector<double> samples;
@@ -120,6 +120,41 @@ inline constexpr int kBwWindows = 8;
 inline int window_edge(int count, int windows, int w) {
   return static_cast<int>((static_cast<std::int64_t>(count) * (w + 1)) /
                           windows);
+}
+
+/// A ping-pong's reduction: `stamps` holds the instant before the first
+/// measured round and after each of the `rounds` rounds; each sample
+/// (and the headline) is a one-way latency, round trip / 2, in us.
+inline Run latency_run_from(const std::vector<pc::SimTime>& stamps,
+                            int rounds, int warmup) {
+  Run run;
+  run.warmup = warmup;
+  for (std::size_t i = 1; i < stamps.size(); ++i) {
+    run.samples.push_back(pc::to_micros(stamps[i] - stamps[i - 1]) / 2.0);
+  }
+  run.value = pc::to_micros(stamps.back() - stamps.front()) / (2.0 * rounds);
+  return run;
+}
+
+/// A receive-side window edge: when it closed, and the stream bytes
+/// received by then.
+struct Mark {
+  pc::SimTime at;
+  std::uint64_t bytes;
+};
+
+/// A bandwidth run's reduction: one MB/s sample per window since the
+/// previous mark (`t0`, the first send, for the first), and the
+/// headline over the whole run.
+inline Run bandwidth_run_from(pc::SimTime t0, const std::vector<Mark>& marks) {
+  Run run;
+  Mark prev{t0, 0};
+  for (const Mark& m : marks) {
+    run.samples.push_back(mbps(m.bytes - prev.bytes, m.at - prev.at));
+    prev = m;
+  }
+  run.value = mbps(marks.back().bytes, marks.back().at - t0);
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -352,17 +387,7 @@ inline Run mpi_latency_run(gr::Grid& grid, MpiPair& p, int rounds = 32,
   auto ta = rank1();
   auto tb = rank0();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  run.warmup = warmup;
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    run.samples.push_back(pc::to_micros(stamps[i] - stamps[i - 1]) / 2.0);
-  }
-  run.value = pc::to_micros(stamps.back() - stamps.front()) / (2.0 * rounds);
-  return run;
-}
-
-inline double mpi_latency_us(gr::Grid& grid, MpiPair& p, int rounds = 32) {
-  return mpi_latency_run(grid, p, rounds).value;
+  return latency_run_from(stamps, rounds, warmup);
 }
 
 /// Streaming bandwidth at message size `size`, with per-window samples
@@ -371,7 +396,7 @@ inline Run mpi_bandwidth_run(gr::Grid& grid, MpiPair& p, std::size_t size) {
   const int count = message_count(size);
   const int windows = std::min(kBwWindows, count);
   pc::SimTime t0 = 0;
-  std::vector<pc::SimTime> marks;
+  std::vector<Mark> marks;
   bool done = false;
   auto rank0 = [&]() -> pc::Task {
     pc::Bytes payload(size, 0x77);
@@ -384,7 +409,7 @@ inline Run mpi_bandwidth_run(gr::Grid& grid, MpiPair& p, std::size_t size) {
     for (int i = 0; i < count; ++i) {
       co_await p.c1->recv(0, 1);
       if (i + 1 == window_edge(count, windows, next_edge)) {
-        marks.push_back(grid.engine().now());
+        marks.push_back({grid.engine().now(), (i + 1) * std::uint64_t{size}});
         ++next_edge;
       }
     }
@@ -393,25 +418,7 @@ inline Run mpi_bandwidth_run(gr::Grid& grid, MpiPair& p, std::size_t size) {
   auto ta = rank1();
   auto tb = rank0();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  pc::SimTime prev = t0;
-  int prev_edge = 0;
-  for (int w = 0; w < windows; ++w) {
-    const int edge = window_edge(count, windows, w);
-    run.samples.push_back(
-        mbps(static_cast<std::uint64_t>(edge - prev_edge) * size,
-             marks[static_cast<std::size_t>(w)] - prev));
-    prev = marks[static_cast<std::size_t>(w)];
-    prev_edge = edge;
-  }
-  run.value = mbps(static_cast<std::uint64_t>(size) * count,
-                   marks.back() - t0);
-  return run;
-}
-
-inline double mpi_bandwidth_mbps(gr::Grid& grid, MpiPair& p,
-                                 std::size_t size) {
-  return mpi_bandwidth_run(grid, p, size).value;
+  return bandwidth_run_from(t0, marks);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,24 +474,14 @@ inline Run orb_latency_run(gr::Grid& grid, OrbPair& p, int rounds = 32,
   };
   auto t = prog();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  run.warmup = std::max(warmup, 1);
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    run.samples.push_back(pc::to_micros(stamps[i] - stamps[i - 1]) / 2.0);
-  }
-  run.value = pc::to_micros(stamps.back() - stamps.front()) / (2.0 * rounds);
-  return run;
-}
-
-inline double orb_latency_us(gr::Grid& grid, OrbPair& p, int rounds = 32) {
-  return orb_latency_run(grid, p, rounds).value;
+  return latency_run_from(stamps, rounds, std::max(warmup, 1));
 }
 
 inline Run orb_bandwidth_run(gr::Grid& grid, OrbPair& p, std::size_t size) {
   const int count = message_count(size);
   const int windows = std::min(kBwWindows, count);
   pc::SimTime t0 = 0;
-  std::vector<pc::SimTime> marks;
+  std::vector<Mark> marks;
   bool done = false;
   auto prog = [&]() -> pc::Task {
     const std::string null_method = "null";
@@ -509,33 +506,16 @@ inline Run orb_bandwidth_run(gr::Grid& grid, OrbPair& p, std::size_t size) {
         ++next_edge;
       }
     }
-    for (std::size_t w = 0; w < edges.size(); ++w) {
-      co_await edges[w];
-      marks.push_back(grid.engine().now());
+    for (int w = 0; w < windows; ++w) {
+      co_await edges[static_cast<std::size_t>(w)];
+      marks.push_back({grid.engine().now(),
+                       window_edge(count, windows, w) * std::uint64_t{size}});
     }
     done = true;
   };
   auto t = prog();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  pc::SimTime prev = t0;
-  int prev_edge = 0;
-  for (int w = 0; w < windows; ++w) {
-    const int edge = window_edge(count, windows, w);
-    run.samples.push_back(
-        mbps(static_cast<std::uint64_t>(edge - prev_edge) * size,
-             marks[static_cast<std::size_t>(w)] - prev));
-    prev = marks[static_cast<std::size_t>(w)];
-    prev_edge = edge;
-  }
-  run.value = mbps(static_cast<std::uint64_t>(size) * count,
-                   marks.back() - t0);
-  return run;
-}
-
-inline double orb_bandwidth_mbps(gr::Grid& grid, OrbPair& p,
-                                 std::size_t size) {
-  return orb_bandwidth_run(grid, p, size).value;
+  return bandwidth_run_from(t0, marks);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +542,8 @@ inline JsockPair make_jsock_pair(gr::Grid& grid, pc::Port port) {
   };
   auto t = prog();
   grid.engine().run_while_pending([&] { return connected && p.server; });
+  // The accept callback writes into this frame's `p`: stop accepting.
+  grid.node(1).vlink().unlisten(port);
   return p;
 }
 
@@ -591,17 +573,7 @@ inline Run jsock_latency_run(gr::Grid& grid, JsockPair& p, int rounds = 32,
   auto ts = server();
   auto tc = client();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  run.warmup = warmup;
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    run.samples.push_back(pc::to_micros(stamps[i] - stamps[i - 1]) / 2.0);
-  }
-  run.value = pc::to_micros(stamps.back() - stamps.front()) / (2.0 * rounds);
-  return run;
-}
-
-inline double jsock_latency_us(gr::Grid& grid, JsockPair& p, int rounds = 32) {
-  return jsock_latency_run(grid, p, rounds).value;
+  return latency_run_from(stamps, rounds, warmup);
 }
 
 inline Run jsock_bandwidth_run(gr::Grid& grid, JsockPair& p,
@@ -609,7 +581,7 @@ inline Run jsock_bandwidth_run(gr::Grid& grid, JsockPair& p,
   const int count = message_count(size);
   const int windows = std::min(kBwWindows, count);
   pc::SimTime t0 = 0;
-  std::vector<pc::SimTime> marks;
+  std::vector<Mark> marks;
   bool done = false;
   auto client = [&]() -> pc::Task {
     pc::Bytes payload(size, 0x33);
@@ -622,7 +594,7 @@ inline Run jsock_bandwidth_run(gr::Grid& grid, JsockPair& p,
     for (int i = 0; i < count; ++i) {
       co_await p.server->read_n(size);
       if (i + 1 == window_edge(count, windows, next_edge)) {
-        marks.push_back(grid.engine().now());
+        marks.push_back({grid.engine().now(), (i + 1) * std::uint64_t{size}});
         ++next_edge;
       }
     }
@@ -631,25 +603,7 @@ inline Run jsock_bandwidth_run(gr::Grid& grid, JsockPair& p,
   auto ts = server();
   auto tc = client();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  pc::SimTime prev = t0;
-  int prev_edge = 0;
-  for (int w = 0; w < windows; ++w) {
-    const int edge = window_edge(count, windows, w);
-    run.samples.push_back(
-        mbps(static_cast<std::uint64_t>(edge - prev_edge) * size,
-             marks[static_cast<std::size_t>(w)] - prev));
-    prev = marks[static_cast<std::size_t>(w)];
-    prev_edge = edge;
-  }
-  run.value = mbps(static_cast<std::uint64_t>(size) * count,
-                   marks.back() - t0);
-  return run;
-}
-
-inline double jsock_bandwidth_mbps(gr::Grid& grid, JsockPair& p,
-                                   std::size_t size) {
-  return jsock_bandwidth_run(grid, p, size).value;
+  return bandwidth_run_from(t0, marks);
 }
 
 // ---------------------------------------------------------------------------
@@ -701,6 +655,12 @@ inline LinkPair make_link_pair(gr::Grid& grid, const std::string& method,
   }
   grid.engine().run_while_pending(
       [&] { return (p.a && p.b) || !error.empty(); });
+  // The accept callback writes into this frame's `p`: stop accepting.
+  if (method == "auto") {
+    grid.node(1).vlink().unlisten(port);
+  } else {
+    grid.node(1).vlink().driver(method)->unlisten(port);
+  }
   if (!error.empty()) {
     throw std::runtime_error("make_link_pair(" + method + "): " + error);
   }
@@ -733,17 +693,7 @@ inline Run link_latency_run(gr::Grid& grid, LinkPair& p, int rounds = 32,
   auto ts = server();
   auto tc = client();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  run.warmup = warmup;
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    run.samples.push_back(pc::to_micros(stamps[i] - stamps[i - 1]) / 2.0);
-  }
-  run.value = pc::to_micros(stamps.back() - stamps.front()) / (2.0 * rounds);
-  return run;
-}
-
-inline double link_latency_us(gr::Grid& grid, LinkPair& p, int rounds = 32) {
-  return link_latency_run(grid, p, rounds).value;
+  return latency_run_from(stamps, rounds, warmup);
 }
 
 inline Run link_bandwidth_run(gr::Grid& grid, LinkPair& p, std::size_t size,
@@ -752,7 +702,7 @@ inline Run link_bandwidth_run(gr::Grid& grid, LinkPair& p, std::size_t size,
   const std::size_t total = size * static_cast<std::size_t>(count);
   const int windows = std::min<int>(kBwWindows, static_cast<int>(total));
   pc::SimTime t0 = 0;
-  std::vector<pc::SimTime> marks;
+  std::vector<Mark> marks;
   bool done = false;
   auto client = [&]() -> pc::Task {
     pc::Bytes payload(size, 0x11);
@@ -773,31 +723,14 @@ inline Run link_bandwidth_run(gr::Grid& grid, LinkPair& p, std::size_t size,
           static_cast<std::size_t>(windows);
       co_await p.b->read_n(edge - taken);
       taken = edge;
-      marks.push_back(grid.engine().now());
+      marks.push_back({grid.engine().now(), edge});
     }
     done = true;
   };
   auto ts = server();
   auto tc = client();
   grid.engine().run_while_pending([&] { return done; });
-  Run run;
-  pc::SimTime prev = t0;
-  std::size_t prev_edge = 0;
-  for (int w = 0; w < windows; ++w) {
-    const std::size_t edge = (total * static_cast<std::size_t>(w + 1)) /
-                             static_cast<std::size_t>(windows);
-    run.samples.push_back(mbps(edge - prev_edge,
-                               marks[static_cast<std::size_t>(w)] - prev));
-    prev = marks[static_cast<std::size_t>(w)];
-    prev_edge = edge;
-  }
-  run.value = mbps(total, marks.back() - t0);
-  return run;
-}
-
-inline double link_bandwidth_mbps(gr::Grid& grid, LinkPair& p,
-                                  std::size_t size, int count = 0) {
-  return link_bandwidth_run(grid, p, size, count).value;
+  return bandwidth_run_from(t0, marks);
 }
 
 /// Circuit-level ping-pong latency over a wired CircuitSet.
@@ -821,18 +754,7 @@ inline Run circuit_latency_run(gr::Grid& grid, gr::CircuitSet& set,
   // on the caller's long-lived set.
   set.at(0).set_recv_handler({});
   set.at(1).set_recv_handler({});
-  Run run;
-  run.warmup = warmup;
-  for (std::size_t i = 1; i < stamps.size(); ++i) {
-    run.samples.push_back(pc::to_micros(stamps[i] - stamps[i - 1]) / 2.0);
-  }
-  run.value = pc::to_micros(stamps.back() - stamps.front()) / (2.0 * rounds);
-  return run;
-}
-
-inline double circuit_latency_us(gr::Grid& grid, gr::CircuitSet& set,
-                                 int rounds = 32) {
-  return circuit_latency_run(grid, set, rounds).value;
+  return latency_run_from(stamps, rounds, warmup);
 }
 
 inline Run circuit_bandwidth_run(gr::Grid& grid, gr::CircuitSet& set,
@@ -840,43 +762,25 @@ inline Run circuit_bandwidth_run(gr::Grid& grid, gr::CircuitSet& set,
   const int count = message_count(size);
   const int windows = std::min(kBwWindows, count);
   pc::SimTime t0 = 0;
-  std::vector<pc::SimTime> marks;
+  std::vector<Mark> marks;
   int received = 0;
   int next_edge = 0;
   set.at(1).set_recv_handler([&](int, padico::mad::UnpackHandle&) {
     ++received;
     if (received == window_edge(count, windows, next_edge)) {
-      marks.push_back(grid.engine().now());
+      marks.push_back({grid.engine().now(), received * std::uint64_t{size}});
       ++next_edge;
     }
   });
   pc::Bytes payload(size, 0x22);
   // Stamp t0 at the sender, right before the first send — the
-  // convention link_bandwidth_mbps established, so figures stay
+  // convention link_bandwidth_run established, so figures stay
   // comparable across drivers.
   t0 = grid.engine().now();
   for (int i = 0; i < count; ++i) set.at(0).send(1, pc::view_of(payload));
   grid.engine().run_while_pending([&] { return received >= count; });
   set.at(1).set_recv_handler({});  // captured this frame's locals
-  Run run;
-  pc::SimTime prev = t0;
-  int prev_edge = 0;
-  for (int w = 0; w < windows; ++w) {
-    const int edge = window_edge(count, windows, w);
-    run.samples.push_back(
-        mbps(static_cast<std::uint64_t>(edge - prev_edge) * size,
-             marks[static_cast<std::size_t>(w)] - prev));
-    prev = marks[static_cast<std::size_t>(w)];
-    prev_edge = edge;
-  }
-  run.value = mbps(static_cast<std::uint64_t>(size) * count,
-                   marks.back() - t0);
-  return run;
-}
-
-inline double circuit_bandwidth_mbps(gr::Grid& grid, gr::CircuitSet& set,
-                                     std::size_t size) {
-  return circuit_bandwidth_run(grid, set, size).value;
+  return bandwidth_run_from(t0, marks);
 }
 
 }  // namespace bench

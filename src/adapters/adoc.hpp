@@ -11,11 +11,11 @@
 // CPU cost of compressing, compression is free wall-clock-wise and the
 // smaller wire image wins; on a fast idle link the encode cost itself
 // must beat the saved wire time.  CPU is charged in *virtual* time
-// through the PR-5 `middleware::CostClock` (cz::encode_cost /
-// decode_cost), so runs are deterministic on any host.  Compression
-// ratios per level start from a small real trial encoding of the
-// current payload's prefix and converge to an EWMA of observed full
-// frames; `pin_level()` freezes the choice for ablation arms.
+// through a `core::CostClock` (cz::encode_cost / decode_cost), so runs
+// are deterministic on any host.  Compression ratios per level start
+// from a small real trial encoding of the current payload's prefix and
+// converge to an EWMA of observed full frames; `pin_level()` freezes
+// the choice for ablation arms.
 //
 // Establishment: a one-shot hello on a base connection to
 // `sub_port(P)`; the acceptor side is AdapterDriver's.
@@ -30,8 +30,8 @@
 #include <optional>
 
 #include "compress/lz.hpp"
+#include "core/cost_clock.hpp"
 #include "core/host.hpp"
-#include "middleware/personality.hpp"
 #include "simnet/network.hpp"
 #include "vlink/adapter_driver.hpp"
 #include "vlink/link.hpp"
@@ -134,8 +134,8 @@ class AdocLink final : public Link {
   double wire_bps_;
   std::shared_ptr<char> alive_ = std::make_shared<char>();
 
-  middleware::CostClock tx_cpu_;
-  middleware::CostClock rx_cpu_;
+  core::CostClock tx_cpu_;
+  core::CostClock rx_cpu_;
 
   std::optional<compress::Level> pinned_;
   compress::Level last_level_ = compress::Level::stored;

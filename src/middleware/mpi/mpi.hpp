@@ -19,6 +19,9 @@
 // end to end.  Matching is (source rank, tag), FIFO per pair —
 // unexpected messages queue, like a real MPI unexpected-message queue.
 //
+// The circuit's tag is scoped to the circuit's own Madeleine channel,
+// so a Comm reserves nothing on the node's MadIO.
+//
 // Ownership / determinism: a Comm borrows its circuit endpoint (the
 // caller owns the CircuitSet; destroy the Comm first).  isend copies
 // the payload at call time (MPI buffer-reuse semantics) and the send
@@ -58,7 +61,7 @@ class Comm final : public middleware::Personality {
   Comm(std::shared_ptr<vio::Socket> stream, int rank, core::Engine& engine,
        middleware::CostModel costs = mpich_costs());
 
-  ~Comm() override;
+  ~Comm();
 
   int rank() const noexcept { return rank_; }
   int size() const noexcept { return size_; }
@@ -94,14 +97,6 @@ class Comm final : public middleware::Personality {
   /// Frames too short to carry an MPI envelope (a miswired sender on
   /// this circuit); always 0 on a healthy stack, like seq_gaps().
   std::uint64_t dropped() const noexcept { return dropped_; }
-
- protected:
-  /// attach() additionally claims the circuit's tag on the node's
-  /// MadIO (circuit-backed Comms): the grid's tag space is one
-  /// namespace across personalities, so two middleware stacks can
-  /// never collide on a tag silently.
-  void publish(grid::Node& node) override;
-  void unpublish(grid::Node& node) noexcept override;
 
  private:
   static constexpr std::size_t kEnvelope = 16;

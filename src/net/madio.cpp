@@ -2,7 +2,7 @@
 
 #include <cassert>
 #include <memory>
-#include <stdexcept>
+#include <string>
 
 namespace padico::net {
 
@@ -44,46 +44,7 @@ obs::Gauge& MadIO::tag_pending(Tag tag) {
 void MadIO::open_logical(Tag tag) { handlers_.try_emplace(tag); }
 
 void MadIO::set_handler(Tag tag, Handler handler) {
-  auto oit = owners_.find(tag);
-  if (oit != owners_.end()) {
-    throw std::logic_error("MadIO::set_handler(): tag " +
-                           std::to_string(tag) + " is claimed by '" +
-                           oit->second + "'");
-  }
   handlers_[tag] = std::move(handler);
-}
-
-void MadIO::set_handler(Tag tag, const std::string& owner, Handler handler) {
-  auto oit = owners_.find(tag);
-  if (oit == owners_.end() || oit->second != owner) {
-    throw std::logic_error("MadIO::set_handler(): tag " +
-                           std::to_string(tag) + " is not claimed by '" +
-                           owner + "'");
-  }
-  handlers_[tag] = std::move(handler);
-}
-
-void MadIO::claim_tag(Tag tag, const std::string& owner) {
-  auto oit = owners_.find(tag);
-  if (oit != owners_.end()) {
-    throw std::logic_error("MadIO::claim_tag(): tag " + std::to_string(tag) +
-                           " already claimed by '" + oit->second + "'");
-  }
-  auto hit = handlers_.find(tag);
-  if (hit != handlers_.end() && hit->second) {
-    throw std::logic_error("MadIO::claim_tag(): tag " + std::to_string(tag) +
-                           " already carries a handler");
-  }
-  owners_.emplace(tag, owner);
-}
-
-void MadIO::release_tag(Tag tag) noexcept {
-  if (owners_.erase(tag) != 0) handlers_.erase(tag);
-}
-
-const std::string* MadIO::tag_owner(Tag tag) const noexcept {
-  auto it = owners_.find(tag);
-  return it == owners_.end() ? nullptr : &it->second;
 }
 
 bool MadIO::reaches(core::NodeId node) const {

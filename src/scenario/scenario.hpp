@@ -129,7 +129,7 @@ class Scenario {
   /// reserved (immediately when cost == 0).
   void after_cpu(core::NodeId node, core::Duration cost, core::EventFn fn);
   /// Reserve `cost` of CPU on `node` (monotone per node); returns the
-  /// completion instant.  Same semantics as middleware::CostClock.
+  /// completion instant.  Same semantics as core::CostClock.
   core::SimTime cpu_reserve(core::NodeId node, core::Duration cost);
 
   void fold(std::uint64_t v) noexcept;

@@ -1,9 +1,11 @@
 // Coverage for the bench/common.hpp base helpers beyond the SAN smoke
-// path: unit conversions, message_count clamp edges, and the link
-// helpers on the ethernet100 profile.
+// path: unit conversions, message_count clamp edges, the link helpers
+// on the ethernet100 profile, and the pair helpers' listener lifetime.
 #include "common.hpp"
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 namespace pc = padico::core;
 
@@ -43,7 +45,7 @@ TEST(BenchHelpers, LinkLatencyOnEthernet100IsInRange) {
   bench::attach_testbed(grid);
   grid.build();
   bench::LinkPair p = bench::make_link_pair(grid, "sysio", 3610);
-  const double lat = bench::link_latency_us(grid, p);
+  const double lat = bench::link_latency_run(grid, p).value;
   // Ethernet-100 profile: 50 us wire latency + ~5 us tx for the framed
   // 1-byte ping + arbitration dispatch.
   EXPECT_GT(lat, 50.0);
@@ -57,7 +59,7 @@ TEST(BenchHelpers, LinkBandwidthStampsInsideTheSenderTask) {
   bench::attach_testbed(grid);
   grid.build();
   bench::LinkPair p = bench::make_link_pair(grid, "sysio", 3620);
-  const double bw = bench::link_bandwidth_mbps(grid, p, 256 * 1024, 8);
+  const double bw = bench::link_bandwidth_run(grid, p, 256 * 1024, 8).value;
   EXPECT_GT(bw, 10.0);
   EXPECT_LT(bw, 12.5);
 }
@@ -68,7 +70,7 @@ TEST(BenchHelpers, BandwidthIsDeterministicAcrossGrids) {
     bench::attach_testbed(grid);
     grid.build();
     bench::LinkPair p = bench::make_link_pair(grid, "sysio", 3630);
-    return bench::link_bandwidth_mbps(grid, p, 64 * 1024, 8);
+    return bench::link_bandwidth_run(grid, p, 64 * 1024, 8).value;
   };
   EXPECT_EQ(once(), once());
 }
@@ -83,8 +85,43 @@ TEST(BenchHelpers, MakeLinkPairAutoRoutesThroughChooser) {
   EXPECT_EQ(grid.node(0).chooser().choose(1), "madio");
   bench::LinkPair p = bench::make_link_pair(grid, "auto", 3670);
   ASSERT_TRUE(p.a && p.b);
-  const double lat = bench::link_latency_us(grid, p);
+  const double lat = bench::link_latency_run(grid, p).value;
   EXPECT_LT(lat, 15.0);
+}
+
+TEST(BenchHelpers, PairHelpersStopAcceptingOnceUp) {
+  // Each helper's accept callback writes into the pair it returns, so
+  // once the pair is up a later connect to its port must be refused
+  // rather than replace the caller's server end.
+  bench::gr::Grid grid;
+  bench::attach_testbed(grid);
+  grid.build();
+  const pc::Port port = 3680;
+  auto second_connect = [&](const std::string& method) {
+    std::optional<pc::Status> status;
+    auto done = [&](pc::Result<std::unique_ptr<padico::vlink::Link>> r) {
+      status = r.status();
+    };
+    if (method == "auto") {
+      grid.node(0).vlink().connect({1, port}, done);
+    } else {
+      grid.node(0).vlink().connect(method, {1, port}, done);
+    }
+    grid.engine().run_while_pending([&] { return status.has_value(); });
+    return status;
+  };
+  // One port for all three: a listener left behind by one helper would
+  // also collide with the next helper's listen.
+  for (const std::string method : {"sysio", "madio", "auto"}) {
+    bench::LinkPair p = bench::make_link_pair(grid, method, port);
+    const padico::vlink::Link* server = p.b.get();
+    EXPECT_EQ(second_connect(method), pc::Status::refused) << method;
+    EXPECT_EQ(p.b.get(), server) << method;
+  }
+  bench::JsockPair jp = bench::make_jsock_pair(grid, port);
+  const padico::jsock::JavaSocket* server = jp.server.get();
+  EXPECT_EQ(second_connect("auto"), pc::Status::refused);
+  EXPECT_EQ(jp.server.get(), server);
 }
 
 TEST(BenchHelpers, CircuitLatencyUndercutsVLinkOnMyrinet) {
@@ -96,9 +133,9 @@ TEST(BenchHelpers, CircuitLatencyUndercutsVLinkOnMyrinet) {
   grid.build();
   auto set =
       grid.make_circuit("bh", padico::circuit::Group({0, 1}), 0x60, 3640);
-  const double circuit = bench::circuit_latency_us(grid, set);
+  const double circuit = bench::circuit_latency_run(grid, set).value;
   bench::LinkPair p = bench::make_link_pair(grid, "madio", 3641);
-  const double vlink = bench::link_latency_us(grid, p);
+  const double vlink = bench::link_latency_run(grid, p).value;
   EXPECT_LT(circuit, vlink);
   // Paper ballpark: 8.4 us one-way over Myrinet-2000.
   EXPECT_GT(circuit, 7.0);
@@ -116,7 +153,7 @@ TEST(BenchHelpers, CircuitBandwidthStampsBeforeFirstSend) {
   auto set =
       grid.make_circuit("bw", padico::circuit::Group({0, 1}), 0x61, 3650);
   EXPECT_GT(grid.engine().now(), 0u);  // establishment consumed time
-  const double bw = bench::circuit_bandwidth_mbps(grid, set, 256 * 1024);
+  const double bw = bench::circuit_bandwidth_run(grid, set, 256 * 1024).value;
   EXPECT_GT(bw, 215.0);
   EXPECT_LT(bw, 235.0);
 }
@@ -128,8 +165,9 @@ TEST(BenchHelpers, CircuitFiguresAreDeterministicAcrossGrids) {
     grid.build();
     auto set =
         grid.make_circuit("det", padico::circuit::Group({0, 1}), 0x62, 3660);
-    const double lat = bench::circuit_latency_us(grid, set);
-    return std::make_pair(lat, bench::circuit_bandwidth_mbps(grid, set, 1 << 20));
+    const double lat = bench::circuit_latency_run(grid, set).value;
+    const double bw = bench::circuit_bandwidth_run(grid, set, 1 << 20).value;
+    return std::make_pair(lat, bw);
   };
   EXPECT_EQ(once(), once());
 }

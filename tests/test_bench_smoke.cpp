@@ -1,6 +1,6 @@
 // Compiles the real bench scaffolding (bench/common.hpp) against the
 // bootstrap libraries and drives the vlink-level helpers end-to-end:
-// attach_testbed, make_link_pair, link_latency_us, link_bandwidth_mbps.
+// attach_testbed, make_link_pair, link_latency_run, link_bandwidth_run.
 #include "common.hpp"
 
 #include <gtest/gtest.h>
@@ -32,7 +32,7 @@ TEST(BenchSmoke, VlinkLatencyOverMyrinetIsInRange) {
   grid.build();
   bench::LinkPair p = bench::make_link_pair(grid, "madio", 3410);
   ASSERT_TRUE(p.a && p.b);
-  const double lat = bench::link_latency_us(grid, p);
+  const double lat = bench::link_latency_run(grid, p).value;
   // Raw vlink over the Myrinet model: ~7 us now; the paper's 10.2 us
   // includes the MadIO/NetAccess layers that land in later PRs.
   EXPECT_GT(lat, 5.0);
@@ -44,7 +44,7 @@ TEST(BenchSmoke, VlinkBandwidthOverMyrinetApproachesLinkRate) {
   bench::attach_testbed(grid);
   grid.build();
   bench::LinkPair p = bench::make_link_pair(grid, "madio", 3420);
-  const double bw = bench::link_bandwidth_mbps(grid, p, 1 << 20, 16);
+  const double bw = bench::link_bandwidth_run(grid, p, 1 << 20, 16).value;
   // 2 Gbit/s link => asymptote just under 250 MB/s.
   EXPECT_GT(bw, 200.0);
   EXPECT_LT(bw, 255.0);
@@ -60,7 +60,7 @@ TEST(BenchSmoke, TcpReferenceOverEthernetMatchesPaperShape) {
   grid.attach(lan, 1);
   grid.build();
   bench::LinkPair p = bench::make_link_pair(grid, "sysio", 3200);
-  const double bw = bench::link_bandwidth_mbps(grid, p, 256 * 1024, 8);
+  const double bw = bench::link_bandwidth_run(grid, p, 256 * 1024, 8).value;
   EXPECT_GT(bw, 10.0);
   EXPECT_LT(bw, 12.5);
 }
@@ -71,7 +71,7 @@ TEST(BenchSmoke, LatencyIsDeterministicAcrossGrids) {
     bench::attach_testbed(grid);
     grid.build();
     bench::LinkPair p = bench::make_link_pair(grid, "madio", 3430);
-    return bench::link_latency_us(grid, p);
+    return bench::link_latency_run(grid, p).value;
   };
   EXPECT_EQ(once(), once());
 }

@@ -392,6 +392,37 @@ TEST(Circuit, DestructionWithQueuedDeliveryIsSafe) {
   EXPECT_EQ(calls, 0);
 }
 
+TEST(Circuit, TagIsScopedToTheCircuitChannel) {
+  // A circuit's tag lives on the circuit's own Madeleine channel, not in
+  // MadIO's tag space: between the same two nodes, a MadIO handler on
+  // the circuit's tag sees only MadIO sends, and the circuit only its own.
+  gr::Grid grid;
+  build_san_grid(grid, 2);
+  gr::CircuitSet set = grid.make_circuit("tag", cc::Group({0, 1}), 0x52, 4110);
+  std::vector<std::string> circuit_got, madio_got;
+  set.at(1).set_recv_handler([&](int, mad::UnpackHandle& h) {
+    circuit_got.push_back(to_string(h.unpack(h.remaining())));
+  });
+  grid.node(1).madio()->set_handler(
+      0x52, [&](pc::NodeId, mad::UnpackHandle& h) {
+        madio_got.push_back(to_string(h.unpack(h.remaining())));
+      });
+
+  for (int i = 0; i < 10; ++i) set.at(0).send(1, pc::view_of("circuit"));
+  grid.engine().run_until_idle();
+  EXPECT_EQ(circuit_got, std::vector<std::string>(10, "circuit"));
+  EXPECT_TRUE(madio_got.empty());
+
+  for (int i = 0; i < 10; ++i) {
+    grid.node(0).madio()->send(0x52, 1, pc::view_of("madio"));
+  }
+  grid.engine().run_until_idle();
+  EXPECT_EQ(circuit_got.size(), 10u);
+  EXPECT_EQ(madio_got, std::vector<std::string>(10, "madio"));
+  EXPECT_EQ(set.at(1).dropped(), 0u);
+  EXPECT_EQ(grid.node(1).madio()->dropped(), 0u);
+}
+
 TEST(Circuit, TrafficCompetesInTheArbitrationPump) {
   // Circuit deliveries ride the node's NetAccess mad substrate, so they
   // show up in the same dispatch accounting as MadIO traffic.
