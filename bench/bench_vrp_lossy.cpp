@@ -49,7 +49,7 @@ VrpResult vrp_run(double link_loss, double tolerance,
   pc::SimTime t1 = t0;
   bool eof = false;
   p.b->set_ready_handler([&]() {
-    const pc::Bytes got = p.b->read_available();
+    const pc::ByteView got = p.b->read_available();
     received += got.size();
     if (!got.empty()) t1 = grid.engine().now();
     if (p.b->eof_seen()) eof = true;

@@ -61,56 +61,92 @@ inline int message_count(std::size_t size) {
 // ---------------------------------------------------------------------------
 
 struct Stats {
-  double mean = 0;
-  double ci_lo = 0;  // 95% bootstrap CI on the mean
+  double ci_lo = 0;  // 95% percentile-bootstrap CI of a run's estimator
   double ci_hi = 0;
 };
 
-/// Mean + 95% percentile-bootstrap CI of `samples`.  The resampling
-/// RNG is seeded, so the interval is bit-identical across runs — these
-/// numbers land in checked-in BENCH_*.json baselines.
-inline Stats bootstrap_stats(const std::vector<double>& samples,
-                             int resamples = 1000,
-                             std::uint64_t seed = 0xb007'57a9'0000'0001ull) {
+/// 95% percentile-bootstrap CI of `statistic` over `n` samples.
+/// `statistic(pick)` evaluates the estimator on the samples whose
+/// indices `pick` lists; each resample draws `n` indices with
+/// replacement.  Resample the estimator the headline uses, or the CI
+/// need not contain the headline.  The resampling RNG is seeded, so
+/// the interval is bit-identical across runs — these numbers land in
+/// checked-in BENCH_*.json baselines.
+template <typename Statistic>
+Stats bootstrap(std::size_t n, const Statistic& statistic,
+                int resamples = 1000,
+                std::uint64_t seed = 0xb007'57a9'0000'0001ull) {
   Stats st;
-  if (samples.empty()) return st;
-  double sum = 0;
-  for (double s : samples) sum += s;
-  st.mean = sum / static_cast<double>(samples.size());
-  if (samples.size() == 1) {
-    st.ci_lo = st.ci_hi = st.mean;
+  if (n == 0) return st;
+  std::vector<std::size_t> pick(n);
+  for (std::size_t i = 0; i < n; ++i) pick[i] = i;
+  if (n == 1) {
+    st.ci_lo = st.ci_hi = statistic(pick);
     return st;
   }
   pc::Rng rng(seed);
-  std::vector<double> means;
-  means.reserve(static_cast<std::size_t>(resamples));
+  std::vector<double> estimates;
+  estimates.reserve(static_cast<std::size_t>(resamples));
   for (int r = 0; r < resamples; ++r) {
-    double acc = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      acc += samples[rng.uniform_int(0, samples.size() - 1)];
+    for (std::size_t& i : pick) {
+      i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
     }
-    means.push_back(acc / static_cast<double>(samples.size()));
+    estimates.push_back(statistic(pick));
   }
-  std::sort(means.begin(), means.end());
+  std::sort(estimates.begin(), estimates.end());
   const auto pct = [&](int per_mille) {
-    std::size_t idx = (means.size() * static_cast<std::size_t>(per_mille)) /
-                      1000;
-    return means[std::min(idx, means.size() - 1)];
+    std::size_t idx =
+        (estimates.size() * static_cast<std::size_t>(per_mille)) / 1000;
+    return estimates[std::min(idx, estimates.size() - 1)];
   };
   st.ci_lo = pct(25);   // 2.5th percentile
   st.ci_hi = pct(975);  // 97.5th percentile
   return st;
 }
 
+/// Mean of `samples` + its CI — the estimator of every headline that is
+/// a plain average (a latency run's per-round samples telescope to
+/// total time / rounds).
+inline Stats bootstrap_stats(const std::vector<double>& samples) {
+  return bootstrap(samples.size(), [&](const std::vector<std::size_t>& pick) {
+    double acc = 0;
+    for (std::size_t i : pick) acc += samples[i];
+    return acc / static_cast<double>(pick.size());
+  });
+}
+
+/// A bandwidth window: stream bytes received over `elapsed`.
+struct Window {
+  std::uint64_t bytes;
+  pc::Duration elapsed;
+};
+
 /// One measurement: the headline figure plus the per-round /
 /// per-window samples behind it.
 struct Run {
   double value = 0;
   std::vector<double> samples;
+  /// Bandwidth runs: the (bytes, elapsed) behind each sample.  Their
+  /// headline is total bytes / total time, not the mean of per-window
+  /// rates (the two differ whenever windows differ in length), so the
+  /// CI resamples these pairs through that same ratio.
+  std::vector<Window> windows;
   int warmup = 0;  // unmeasured rounds before the first stamp
 
   int n() const noexcept { return static_cast<int>(samples.size()); }
-  Stats stats() const { return bootstrap_stats(samples); }
+  Stats stats() const {
+    if (windows.empty()) return bootstrap_stats(samples);
+    return bootstrap(windows.size(),
+                     [&](const std::vector<std::size_t>& pick) {
+                       std::uint64_t bytes = 0;
+                       pc::Duration elapsed = 0;
+                       for (std::size_t i : pick) {
+                         bytes += windows[i].bytes;
+                         elapsed += windows[i].elapsed;
+                       }
+                       return mbps(bytes, elapsed);
+                     });
+  }
 };
 
 /// Receive-side windows a bandwidth run is cut into for CI purposes.
@@ -143,14 +179,16 @@ struct Mark {
   std::uint64_t bytes;
 };
 
-/// A bandwidth run's reduction: one MB/s sample per window since the
-/// previous mark (`t0`, the first send, for the first), and the
-/// headline over the whole run.
+/// A bandwidth run's reduction: one window (and its MB/s sample) per
+/// mark since the previous one (`t0`, the first send, for the first),
+/// and the headline over the whole run.
 inline Run bandwidth_run_from(pc::SimTime t0, const std::vector<Mark>& marks) {
   Run run;
   Mark prev{t0, 0};
   for (const Mark& m : marks) {
-    run.samples.push_back(mbps(m.bytes - prev.bytes, m.at - prev.at));
+    const Window w{m.bytes - prev.bytes, m.at - prev.at};
+    run.samples.push_back(mbps(w.bytes, w.elapsed));
+    run.windows.push_back(w);
     prev = m;
   }
   run.value = mbps(marks.back().bytes, marks.back().at - t0);

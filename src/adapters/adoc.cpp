@@ -232,9 +232,9 @@ void AdocLink::on_frame(core::ByteView frame) {
                              cost, static_cast<std::uint32_t>(h->level),
                              raw->size());
   std::weak_ptr<char> w = alive_;
-  engine_->schedule_at(done, [this, w, raw = std::move(*raw)] {
+  engine_->schedule_at(done, [this, w, raw = std::move(*raw)]() mutable {
     if (w.expired()) return;
-    deliver(core::view_of(raw));
+    deliver(std::move(raw), 0);
   });
 }
 

@@ -339,7 +339,7 @@ void VrpLink::resolve_gaps() {
       core::Bytes chunk = std::move(ooo_.begin()->second);
       ooo_.erase(ooo_.begin());
       expected_ += chunk.size();
-      deliver(core::view_of(chunk));
+      deliver(std::move(chunk), 0);
       progressed = true;
     }
     // The next gap: up to the earliest buffered frame, or the tail up

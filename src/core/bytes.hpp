@@ -124,14 +124,17 @@ class IoVec {
 
 /// Recycler of frame-sized `Bytes` buffers.
 ///
-/// The TX path builds one owned `Bytes` per wire frame (header +
-// payload, ≤ ~1.5 KB on every profile) and the RX path frees it a few
-// virtual microseconds later — a malloc/free pair per frame that the
-// profiler shows as ~a third of a scenario run's wall clock.  The pool
-// keeps released buffers' capacity alive: `acquire` hands one back
-// resized, `release` returns it.  Bounded both ways — oversized
-// buffers are never hoarded and the free list never grows past
-// `kMaxFree` — so a burst can't turn the pool into a leak.
+/// The TX path builds one owned `Bytes` per wire frame (a 24-byte
+/// header plus one application write: a few hundred bytes for an RPC,
+/// a whole 256 KiB reply for bulk traffic) and the receiving link
+/// adopts that buffer as its stream buffer.  What the adoption
+/// displaces, the frame itself once the link's reader consumed it, or
+/// a frame no link adopted comes back here.  The pool keeps that
+/// capacity alive: `acquire_capacity` hands a buffer back
+/// empty with room for `n` bytes (the encoder appends, so nothing is
+/// zero-filled first), `release` returns it.  Bounded both ways —
+/// oversized buffers are never hoarded and the free list never grows
+/// past `kMaxFree` — so a burst can't turn the pool into a leak.
 ///
 /// Lifetime rules (see DESIGN.md "Engine internals"): a released
 /// buffer must have no live views into it, and the pool must outlive
@@ -151,18 +154,28 @@ class BytesPool {
   BytesPool(const BytesPool&) = delete;
   BytesPool& operator=(const BytesPool&) = delete;
 
-  /// A buffer of exactly `n` bytes (contents unspecified — callers
-  /// overwrite).  Recycles a pooled buffer when one fits.
-  Bytes acquire(std::size_t n) {
+  /// An empty buffer with capacity for at least `n` bytes.  Recycles a
+  /// pooled buffer when `n` is poolable and one is free.
+  Bytes acquire_capacity(std::size_t n) {
+    Bytes b;
     if (!free_.empty() && n <= kMaxPooledCapacity) {
-      Bytes b = std::move(free_.back());
+      b = std::move(free_.back());
       free_.pop_back();
-      b.resize(n);
+      b.clear();
       ++hits_;
-      return b;
+    } else {
+      ++misses_;
     }
-    ++misses_;
-    return Bytes(n);
+    b.reserve(n);
+    return b;
+  }
+
+  /// A buffer of exactly `n` bytes, for callers that write through
+  /// `data()`; recycled like `acquire_capacity`.
+  Bytes acquire(std::size_t n) {
+    Bytes b = acquire_capacity(n);
+    b.resize(n);
+    return b;
   }
 
   /// Return a buffer to the pool (or drop it if oversized / full).

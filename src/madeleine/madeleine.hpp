@@ -143,6 +143,19 @@ class UnpackHandle {
     return v;
   }
 
+  /// Offset of the first unconsumed byte in the message buffer.
+  std::size_t consumed() const noexcept { return cur_; }
+
+  /// Hand the whole message buffer over, bytes before consumed()
+  /// included — for a receiver that keeps the buffer instead of
+  /// copying out of it.  The handle reads as fully consumed after.
+  core::Bytes take_buffer() noexcept {
+    core::Bytes out = std::move(buf_);
+    buf_.clear();
+    cur_ = 0;
+    return out;
+  }
+
  private:
   core::Bytes buf_;
   std::size_t cur_ = 0;

@@ -7,10 +7,15 @@ namespace padico::net {
 namespace wire = vlink::wire;
 
 MadIODriver::MadIODriver(MadIO& io, std::string name)
-    : FrameDriver(io.madeleine().host(), std::move(name)), io_(&io) {
+    : FrameDriver(io.madeleine().host(), std::move(name),
+                  /*pooled_frames=*/false),
+      io_(&io) {
+  // Frames arrive in Madeleine's message buffers, plain allocations:
+  // the link adopts them and leftovers are freed.
   io_->set_handler(MadIO::kVLinkTag,
                    [this](core::NodeId src, mad::UnpackHandle& h) {
-                     handle_frame(src, h.remaining_view());
+                     const std::size_t offset = h.consumed();
+                     handle_frame(src, h.take_buffer(), offset);
                    });
 }
 

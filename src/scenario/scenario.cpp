@@ -215,7 +215,7 @@ void Scenario::on_client_ready(std::uint64_t id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end() || it->second.counted) return;
   Session& s = it->second;
-  const core::Bytes got = s.sock->link().read_available();
+  const core::ByteView got = s.sock->link().read_available();
   if (got.empty()) return;
   payload_rx_ += got.size();
   bytes_rate_->add(got.size());
@@ -298,7 +298,7 @@ void Scenario::on_server_ready(std::uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end() || it->second.retiring) return;
   ServerConn& c = it->second;
-  const core::Bytes got = c.sock->link().read_available();
+  const core::ByteView got = c.sock->link().read_available();
   std::size_t off = 0;
   while (off < got.size()) {
     if (c.need == request_wire_) c.flag = got[off];

@@ -19,7 +19,9 @@ class FrameDriver::FrameLink final : public Link {
     if (drv_) drv_->forget(conn_id_);
   }
 
-  void receive(core::ByteView data) { deliver(data); }
+  core::Bytes receive(core::Bytes frame, std::size_t offset) {
+    return deliver(std::move(frame), offset);
+  }
 
   /// Driver teardown: the link may outlive the driver in user hands;
   /// once detached, writes are silently dropped (the wire is gone).
@@ -46,8 +48,9 @@ class FrameDriver::FrameLink final : public Link {
 // FrameDriver
 // ---------------------------------------------------------------------------
 
-FrameDriver::FrameDriver(core::Host& host, std::string name)
-    : Driver(std::move(name)), host_(&host) {
+FrameDriver::FrameDriver(core::Host& host, std::string name,
+                         bool pooled_frames)
+    : Driver(std::move(name)), host_(&host), pooled_frames_(pooled_frames) {
   obs::Registry& reg = host.engine().obs();
   obs_tx_frames_ = &reg.counter("vlink.tx.frames");
   obs_tx_bytes_ = &reg.counter("vlink.tx.bytes");
@@ -84,15 +87,20 @@ void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   emit(remote.node, h, {});
 }
 
-void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
-  const std::optional<wire::Header> hdr = wire::decode(frame);
+void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
+                               std::size_t offset) {
+  // Read before any callback below runs: a callback may destroy this
+  // driver, never the engine's pool.
+  core::BytesPool* const pool =
+      pooled_frames_ ? &host_->engine().bytes_pool() : nullptr;
+  const std::optional<wire::Header> hdr = wire::decode(
+      core::ByteView(frame.data() + offset, frame.size() - offset));
   if (!hdr) {
     ++malformed_;
+    if (pool) pool->release(std::move(frame));
     return;
   }
   const wire::Header& h = *hdr;
-  const core::ByteView payload =
-      frame.subview(wire::kHeaderSize, frame.size() - wire::kHeaderSize);
 
   switch (h.type) {
     case wire::FrameType::connect: {
@@ -101,7 +109,7 @@ void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
         wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
                        host_->id(), h.conn_id};
         emit(src, r, {});
-        return;
+        break;
       }
       auto link = std::make_unique<FrameLink>(*this, src, h.dst_port,
                                               h.src_port, h.conn_id);
@@ -110,46 +118,50 @@ void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
                      host_->id(), h.conn_id};
       emit(src, a, {});
       lit->second(std::move(link));
-      return;
+      break;
     }
     case wire::FrameType::accept: {
       auto cit = connecting_.find(h.conn_id);
-      if (cit == connecting_.end()) return;
+      if (cit == connecting_.end()) break;
       ConnectFn cb = std::move(cit->second);
       connecting_.erase(cit);
       std::unique_ptr<Link> link = std::make_unique<FrameLink>(
           *this, src, h.dst_port, h.src_port, h.conn_id);
       links_[h.conn_id] = static_cast<FrameLink*>(link.get());
       cb(std::move(link));
-      return;
+      break;
     }
     case wire::FrameType::refuse: {
       auto cit = connecting_.find(h.conn_id);
-      if (cit == connecting_.end()) return;
+      if (cit == connecting_.end()) break;
       ConnectFn cb = std::move(cit->second);
       connecting_.erase(cit);
       cb(core::Result<std::unique_ptr<Link>>::err(
           core::Status::refused,
           name() + ": connection refused by node " + std::to_string(src)));
-      return;
+      break;
     }
     case wire::FrameType::data: {
       auto it = links_.find(h.conn_id);
-      if (it == links_.end()) return;  // stale connection; drop
+      if (it == links_.end()) break;  // stale connection; drop
+      const std::size_t payload = offset + wire::kHeaderSize;
       obs_rx_frames_->add();
-      obs_rx_bytes_->add(payload.size());
+      obs_rx_bytes_->add(frame.size() - payload);
       // The rx span covers stream reassembly plus every continuation
       // the delivery resumes.
       obs::Scope scope(host_->engine().tracer(), obs::Cat::vlink, "vlink.rx",
                        host_->id());
-      it->second->receive(payload);
-      return;
+      // The link takes the buffer; what comes back is storage no view
+      // points into any more (see Link::deliver).
+      frame = it->second->receive(std::move(frame), payload);
+      break;
     }
     case wire::FrameType::header:
       // MadIO-internal frame type; never valid at the connection layer.
       ++malformed_;
-      return;
+      break;
   }
+  if (pool) pool->release(std::move(frame));
 }
 
 void FrameDriver::forget(std::uint64_t conn_id) {

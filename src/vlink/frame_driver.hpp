@@ -11,6 +11,7 @@
 // stack.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -33,7 +34,11 @@ class FrameDriver : public Driver {
   void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
 
  protected:
-  FrameDriver(core::Host& host, std::string name);
+  /// `pooled_frames`: the transport's frames come from the engine's
+  /// BytesPool (emit() acquires them there), so storage of received
+  /// frames goes back to it.  Otherwise frames are plain allocations,
+  /// and that storage is freed.
+  FrameDriver(core::Host& host, std::string name, bool pooled_frames);
 
   core::Host& host() const noexcept { return *host_; }
 
@@ -42,8 +47,12 @@ class FrameDriver : public Driver {
                     core::ByteView payload) = 0;
 
   /// Entry point for the transport: parse and act on one received
-  /// frame.  Malformed frames are counted and dropped.
-  void handle_frame(core::NodeId src, core::ByteView frame);
+  /// frame, `frame[offset..]` (the bytes before `offset` are the
+  /// transport's own headers).  The driver takes the buffer: a data
+  /// frame's link adopts it (see Link::deliver), and whatever storage
+  /// is left over is recycled (see `pooled_frames`).  Malformed frames
+  /// are counted and dropped.
+  void handle_frame(core::NodeId src, core::Bytes frame, std::size_t offset);
 
   /// Hook: the link bound to `conn_id` is gone (destroyed or the
   /// connection was torn down); transports drop per-connection state
@@ -71,6 +80,9 @@ class FrameDriver : public Driver {
   std::uint64_t next_conn_ = 1;
   std::uint64_t malformed_ = 0;
   core::Port next_ephemeral_ = 49152;
+  // Next to the 16-bit port, in what would be padding: a 10k-node grid
+  // has ~20k drivers, and a wider driver shows in its peak RSS.
+  bool pooled_frames_;
   // obs instrumentation: node-wide vlink traffic totals (per-link
   // totals live on the Link itself).
   obs::Counter* obs_tx_frames_;

@@ -23,9 +23,10 @@ core::Completion<core::Bytes> Link::read_n(std::size_t n) {
   return c;
 }
 
-void Link::deliver(core::ByteView data) {
+core::Bytes Link::deliver(core::Bytes frame, std::size_t offset) {
+  const std::size_t n = frame.size() - offset;
   ++rx_frames_;
-  rx_bytes_ += data.size();
+  rx_bytes_ += n;
   if (datagram_handler_) {
     // Framed mode: the adapter stacked on this link consumes whole
     // transport messages; nothing enters the stream buffer.  Invoke a
@@ -34,12 +35,31 @@ void Link::deliver(core::ByteView data) {
     // std::function mid-invocation would destroy its captures under
     // the running closure.
     auto handler = datagram_handler_;
-    handler(data);
-    return;
+    handler(core::ByteView(frame.data() + offset, n));
+    return frame;
   }
-  rx_buf_.insert(rx_buf_.end(), data.begin(), data.end());
+  if (available() == 0) {
+    // Drained: nothing buffered is still owed to a reader, and views
+    // handed out by read_available() end here — adopt the frame.
+    rx_buf_.swap(frame);
+    rx_head_ = offset;
+  } else {
+    rx_buf_.insert(rx_buf_.end(),
+                   frame.begin() + static_cast<std::ptrdiff_t>(offset),
+                   frame.end());
+  }
   drain();
   if (ready_handler_) ready_handler_();
+  if (available() == 0) {
+    // Consumed within this delivery (queued reads, or the ready handler
+    // through read_available): hand the buffer back now rather than
+    // holding it until the next frame, so a drained link keeps no
+    // storage.  Views the handler fetched end here.
+    frame.swap(rx_buf_);
+    rx_buf_ = core::Bytes();
+    rx_head_ = 0;
+  }
+  return frame;
 }
 
 void Link::mark_eof() {
@@ -48,12 +68,9 @@ void Link::mark_eof() {
   if (ready_handler_) ready_handler_();
 }
 
-core::Bytes Link::read_available() {
-  core::Bytes out = take(available());
-  if (rx_head_ == rx_buf_.size()) {
-    rx_buf_.clear();
-    rx_head_ = 0;
-  }
+core::ByteView Link::read_available() {
+  const core::ByteView out(rx_buf_.data() + rx_head_, available());
+  rx_head_ = rx_buf_.size();
   return out;
 }
 

@@ -2,8 +2,9 @@
 // nodes, the abstraction every middleware in the stack talks to.
 //
 // `Link` is the polymorphic base: it owns receive-side reassembly (a
-// byte buffer plus a FIFO of pending `read_n` requests) and delegates
-// the send side to the concrete transport via `send_bytes`.  The
+// stream buffer — usually the last delivered frame, adopted without a
+// copy — plus a FIFO of pending `read_n` requests) and delegates the
+// send side to the concrete transport via `send_bytes`.  The
 // adapter layers (VRP, AdOC, parallel streams) subclass it and keep
 // the same user-facing surface.
 #pragma once
@@ -64,10 +65,17 @@ class Link {
   /// loss-tolerant consumers use this with a ready handler instead of
   /// read_n: on a link allowed to *lose* bytes, "exactly n" can never
   /// complete — "whatever arrived" can.
-  core::Bytes read_available();
+  ///
+  /// Zero-copy: the view points into the link's stream buffer, often
+  /// the very frame buffer the transport delivered.  It is valid until
+  /// the link's next delivery or read, or its destruction; fetched in
+  /// the ready handler, until that handler returns.  Consume it there,
+  /// never stash it.
+  core::ByteView read_available();
 
   /// `fn` fires after every delivery and on end-of-stream — the
-  /// edge-triggered companion of read_available().
+  /// edge-triggered companion of read_available().  Like a read's
+  /// continuation, it must not destroy the link it fires on.
   void set_ready_handler(std::function<void()> fn) {
     ready_handler_ = std::move(fn);
   }
@@ -101,8 +109,17 @@ class Link {
   /// Transport hook: actually emit `data` towards the peer.
   virtual void send_bytes(core::ByteView data) = 0;
 
-  /// Called by the transport when stream bytes arrive from the peer.
-  void deliver(core::ByteView data);
+  /// Called by the transport when a message arrives from the peer:
+  /// `frame[offset..]` is the payload.  The link takes the buffer by
+  /// ownership.  In stream mode a drained link adopts it as its stream
+  /// buffer (no copy; reads start at `offset`), and a link still
+  /// holding unread bytes appends the payload.  Returns storage the
+  /// caller may recycle (BytesPool::release), no view into it live any
+  /// more: the stream buffer itself when this delivery's reads and
+  /// ready handler consumed everything, else what the adoption
+  /// displaced or the appended `frame`.  In datagram mode the handler
+  /// sees the payload and `frame` comes back.
+  core::Bytes deliver(core::Bytes frame, std::size_t offset);
 
   /// Transport hook: the peer finished its write side.  Flags
   /// eof_seen() and fires the ready handler once.

@@ -6,7 +6,8 @@
 namespace padico::vlink {
 
 NetDriver::NetDriver(core::Host& host, simnet::Network& net, std::string name)
-    : FrameDriver(host, std::move(name)), net_(&net) {
+    : FrameDriver(host, std::move(name), /*pooled_frames=*/true),
+      net_(&net) {
   net_->set_receiver(host.id(), [this](core::NodeId src, core::Bytes msg) {
     on_message(src, std::move(msg));
   });
@@ -31,8 +32,8 @@ core::Duration NetDriver::stream_time(std::size_t bytes) const {
 void NetDriver::emit(core::NodeId dst, const wire::Header& h,
                      core::ByteView payload) {
   // Frames come out of the engine's recycled-buffer pool; the
-  // receiving side's on_message() releases them after handling, so
-  // steady-state frame traffic allocates nothing.
+  // receiving side recycles each frame's storage (see handle_frame),
+  // so steady-state frame traffic allocates nothing.
   core::Bytes frame =
       wire::encode(h, payload, host().engine().bytes_pool());
   if (net_->model().per_stream_bytes_per_second == 0) {
@@ -69,19 +70,15 @@ void NetDriver::on_connection_closed(std::uint64_t conn_id) {
 }
 
 void NetDriver::on_message(core::NodeId src, core::Bytes msg) {
-  // The frame buffer goes back to the pool that built it (emit());
-  // handle_frame fully consumes the view — links and adapters copy
-  // payloads into their own buffers.  The pool lives on the engine,
-  // which outlives any callback the frame can trigger.
-  core::BytesPool& pool = host().engine().bytes_pool();
+  // The message is one whole frame; handle_frame takes it (its link
+  // adopts the buffer) and recycles what is left into the engine pool
+  // emit() acquired it from.
   if (!dispatch_) {
-    handle_frame(src, core::view_of(msg));
-    pool.release(std::move(msg));
+    handle_frame(src, std::move(msg), 0);
     return;
   }
-  dispatch_([this, src, &pool, m = std::move(msg)]() mutable {
-    handle_frame(src, core::view_of(m));
-    pool.release(std::move(m));
+  dispatch_([this, src, m = std::move(msg)]() mutable {
+    handle_frame(src, std::move(m), 0);
   });
 }
 

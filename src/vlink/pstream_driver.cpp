@@ -139,7 +139,7 @@ core::Task PstreamLink::run_reader(std::size_t i) {
       core::Bytes ready = std::move(it->second);
       reorder_.erase(it);
       ++next_deliver_seq_;
-      deliver(core::view_of(ready));
+      deliver(std::move(ready), 0);
     }
   }
 }

@@ -52,7 +52,7 @@ struct Header {
 // GCC 12 at -O2 raises well-known false-positive -Warray-bounds /
 // -Wstringop-overflow diagnostics on std::vector<uint8_t> writes of
 // provably in-bounds sizes (PR 105705 and friends); scope them out of
-// -Werror for these two functions only.
+// -Werror for the encoders only.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Warray-bounds"
@@ -80,17 +80,18 @@ inline core::Bytes encode(const Header& h, core::ByteView payload = {}) {
 }
 
 /// Build a full frame in a recycled buffer from `pool` — the
-/// allocation-free fast path for frame-sized messages.  The receiving
-/// driver releases the buffer back to the pool once the frame is
-/// handled (acquire/release pair across the simulated wire; both ends
-/// share the engine's pool).
+/// allocation-free path for frame-sized messages.  Each byte is written
+/// once: the header, then the payload appended into reserved capacity
+/// (no zero-fill ahead of the copy).  The storage comes back to the
+/// pool on the receiving side: a link that adopts the frame as its
+/// stream buffer hands back what it displaced, and a frame no link
+/// adopted is released whole (both ends share the engine's pool).
 inline core::Bytes encode(const Header& h, core::ByteView payload,
                           core::BytesPool& pool) {
-  core::Bytes frame = pool.acquire(kHeaderSize + payload.size());
+  core::Bytes frame = pool.acquire_capacity(kHeaderSize + payload.size());
+  frame.resize(kHeaderSize);
   encode_into(h, frame.data());
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderSize, payload.data(), payload.size());
-  }
+  frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
 }
 

@@ -86,7 +86,7 @@ pc::Bytes transfer(Pair& p, const pc::Bytes& payload) {
   pc::Bytes got;
   bool eof = false;
   p.b->set_ready_handler([&] {
-    pc::Bytes chunk = p.b->read_available();
+    const pc::ByteView chunk = p.b->read_available();
     got.insert(got.end(), chunk.begin(), chunk.end());
     if (p.b->eof_seen()) eof = true;
   });

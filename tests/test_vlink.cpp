@@ -5,7 +5,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "core/core.hpp"
 #include "simnet/simnet.hpp"
@@ -56,6 +58,28 @@ struct Rig {
     return {std::move(a), std::move(b)};
   }
 };
+
+// A Link with no transport under it: the ownership tests below hand it
+// frames directly, the way a driver's receive path does.
+class BareLink final : public vl::Link {
+ public:
+  BareLink() : vl::Link(1, 4000, 4000) {}
+  using vl::Link::deliver;
+
+ protected:
+  void send_bytes(pc::ByteView) override {}
+};
+
+/// A frame carrying `payload` behind `offset` bytes of transport header.
+pc::Bytes framed(std::size_t offset, std::string_view payload) {
+  pc::Bytes frame(offset, 0xEE);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+std::string text(pc::ByteView v) {
+  return std::string(v.begin(), v.end());
+}
 
 }  // namespace
 
@@ -347,4 +371,103 @@ TEST(VLink, VLinkListenAcceptsOnAllDrivers) {
   EXPECT_TRUE(via_san);
   EXPECT_TRUE(via_lan);
   EXPECT_EQ(accepted, 2);
+}
+
+TEST(LinkOwnership, DrainedLinkAdoptsTheDeliveredFrame) {
+  BareLink link;
+  pc::Bytes first = framed(24, "payload");
+  const std::uint8_t* first_payload = first.data() + 24;
+  link.deliver(std::move(first), 24);
+  const pc::ByteView got = link.read_available();
+  EXPECT_EQ(got.data(), first_payload);  // adopted, not copied
+  EXPECT_EQ(text(got), "payload");
+
+  // Drained again: the next frame is adopted too, and the storage it
+  // displaced — the first frame — comes back for recycling.
+  pc::Bytes second = framed(24, "next");
+  const std::uint8_t* second_payload = second.data() + 24;
+  const pc::Bytes displaced = link.deliver(std::move(second), 24);
+  EXPECT_EQ(displaced.data() + 24, first_payload);
+  EXPECT_EQ(link.read_available().data(), second_payload);
+}
+
+TEST(LinkOwnership, FrameConsumedByTheReadyHandlerComesStraightBack) {
+  BareLink link;
+  const std::uint8_t* seen_at = nullptr;
+  std::string seen;
+  link.set_ready_handler([&] {
+    const pc::ByteView v = link.read_available();
+    seen_at = v.data();
+    seen = text(v);
+  });
+  pc::Bytes frame = framed(24, "abc");
+  const std::uint8_t* storage = frame.data();
+  const pc::Bytes back = link.deliver(std::move(frame), 24);
+  EXPECT_EQ(seen, "abc");
+  EXPECT_EQ(seen_at, storage + 24);  // read in place
+  EXPECT_EQ(back.data(), storage);   // drained: the link keeps nothing
+  EXPECT_EQ(link.available(), 0u);
+  EXPECT_TRUE(link.read_available().empty());
+}
+
+TEST(LinkOwnership, DeliveryWhileBufferedAppendsInOrder) {
+  BareLink link;
+  link.deliver(framed(8, "abc"), 8);  // adopted, left unread
+  pc::Bytes second = framed(4, "defg");
+  const std::uint8_t* second_storage = second.data();
+  const pc::Bytes back = link.deliver(std::move(second), 4);
+  EXPECT_EQ(back.data(), second_storage);  // copied in; the frame returns
+  EXPECT_EQ(link.available(), 7u);
+  EXPECT_EQ(text(link.read_available()), "abcdefg");
+  EXPECT_EQ(link.rx_frames(), 2u);
+  EXPECT_EQ(link.rx_bytes(), 7u);
+}
+
+TEST(LinkOwnership, QueuedReadsCompleteFifoAcrossAdoptedAndAppendedFrames) {
+  BareLink link;
+  std::vector<std::string> got;
+  auto reader = [&](std::size_t n) -> pc::Task {
+    pc::Bytes b = co_await link.read_n(n);
+    got.emplace_back(b.begin(), b.end());
+  };
+  auto r1 = reader(3);
+  auto r2 = reader(5);
+  auto r3 = reader(2);
+  EXPECT_TRUE(got.empty());
+
+  link.deliver(framed(24, "abcd"), 24);  // adopted; serves the first read
+  EXPECT_EQ(got, (std::vector<std::string>{"abc"}));
+  link.deliver(framed(24, "efghij"), 24);  // appended behind the "d"
+  EXPECT_EQ(got, (std::vector<std::string>{"abc", "defgh", "ij"}));
+  EXPECT_EQ(link.available(), 0u);
+
+  link.deliver(framed(24, "kl"), 24);  // drained again: adopted
+  auto r4 = reader(2);                 // buffered: completes at once
+  EXPECT_EQ(got, (std::vector<std::string>{"abc", "defgh", "ij", "kl"}));
+}
+
+TEST(LinkOwnership, DatagramModeHandsOverExactlyThePayload) {
+  BareLink link;
+  std::vector<std::string> seen;
+  const std::uint8_t* seen_at = nullptr;
+  link.set_datagram_handler([&](pc::ByteView v) {
+    seen.push_back(text(v));
+    seen_at = v.data();
+  });
+  pc::Bytes frame = framed(24, "hello");
+  const std::uint8_t* storage = frame.data();
+  const pc::Bytes back = link.deliver(std::move(frame), 24);
+  EXPECT_EQ(seen, (std::vector<std::string>{"hello"}));
+  EXPECT_EQ(seen_at, storage + 24);
+  EXPECT_EQ(back.data(), storage);  // the link keeps nothing
+  EXPECT_EQ(link.available(), 0u);
+  EXPECT_EQ(link.rx_bytes(), 5u);
+}
+
+TEST(LinkOwnership, EmptyLinkYieldsAnEmptyView) {
+  BareLink link;
+  EXPECT_TRUE(link.read_available().empty());
+  link.deliver(framed(24, "x"), 24);
+  EXPECT_EQ(text(link.read_available()), "x");
+  EXPECT_TRUE(link.read_available().empty());  // drained by the first read
 }

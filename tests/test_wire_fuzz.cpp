@@ -73,6 +73,33 @@ TEST(WireFuzz, RoundTripRandomHeaders) {
   }
 }
 
+TEST(WireFuzz, PooledEncodeMatchesPlainEncode) {
+  // The pooled encoder appends into recycled capacity instead of
+  // zero-filling a sized buffer: byte for byte it must build the same
+  // frame, on both sides of the pool's capacity bound.
+  pc::Rng rng(0x5eed0005);
+  pc::BytesPool pool;
+  constexpr std::size_t kMax = pc::BytesPool::kMaxPooledCapacity;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              kMax - wire::kHeaderSize,
+                              kMax - wire::kHeaderSize + 1,
+                              std::size_t{256} * 1024}) {
+    // A dirty recycled buffer: stale bytes must never reach a frame.
+    pool.release(pc::Bytes(kMax, 0xEE));
+    pc::Bytes payload(n);
+    for (std::uint8_t& b : payload) {
+      b = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    const wire::Header h = random_header(rng);
+    const pc::Bytes pooled = wire::encode(h, pc::view_of(payload), pool);
+    EXPECT_EQ(pooled, wire::encode(h, pc::view_of(payload)))
+        << "payload of " << n << " bytes";
+  }
+  // Frames up to kMax bytes came from the free list, larger ones not.
+  EXPECT_EQ(pool.hits(), 3u);
+  EXPECT_EQ(pool.misses(), 2u);
+}
+
 TEST(WireFuzz, TruncatedFramesAreRejected) {
   pc::Rng rng(0x5eed0002);
   const pc::Bytes frame = wire::encode(random_header(rng));

@@ -7,9 +7,12 @@ Baseline mode (default):
                         --got bench-out/BENCH_table1.json [--tolerance 0.05]
 
   Fails when either file is missing/invalid, when a baseline metric is
-  absent from the new results, or when a mean drifted outside the
-  relative tolerance band.  Metrics present only in the new results are
-  reported but don't fail (they become baseline on the next refresh).
+  absent from the new results, when a mean drifted outside the
+  relative tolerance band, or when a metric in either file has n > 1
+  samples and a 95% CI that does not contain its mean (the CI must
+  resample the headline's own estimator).  Metrics present only in the
+  new results are reported but don't fail (they become baseline on the
+  next refresh).
 
   Each baseline metric may carry a "gate" field choosing how it is
   compared (the freshly emitted files never carry gates — policy lives
@@ -21,6 +24,10 @@ Baseline mode (default):
     "min" — mean must be >= the metric's "min" field (falls back to
         the baseline mean).  Right for in-process speedup ratios,
         which are machine-portable but improve over time.
+    "max" — mean must be <= the metric's "max" field (falls back to
+        the baseline mean); the mirror of "min".  Right for host-work
+        counts such as allocations per session, which are deterministic
+        for a toolchain but should only ever fall.
     "info" — recorded and printed, never gated.  Right for wall-clock
         absolutes, which depend on the machine running the job.
 
@@ -69,6 +76,13 @@ def check_bench(baseline_path, got_path, tolerance):
     base_metrics = baseline["metrics"]
     got_metrics = got["metrics"]
     failures = []
+    for doc, path in ((baseline, baseline_path), (got, got_path)):
+        for name, m in sorted(doc["metrics"].items()):
+            if m.get("n", 0) > 1 and not m["ci_lo"] <= m["mean"] <= m["ci_hi"]:
+                msg = (f"{name}: 95% CI [{m['ci_lo']:g}, {m['ci_hi']:g}] "
+                       f"excludes its mean {m['mean']:g} in {path}")
+                print(f"FAIL {msg}")
+                failures.append(msg)
     gated = 0
     for name, base in sorted(base_metrics.items()):
         if name not in got_metrics:
@@ -90,9 +104,18 @@ def check_bench(baseline_path, got_path, tolerance):
                 failures.append(f"{name}: {g:g} below required minimum "
                                 f"{floor:g}")
             continue
+        if gate == "max":
+            ceiling = base.get("max", b)
+            status = "ok" if g <= ceiling else "FAIL"
+            print(f"{status:4} {name}: ceiling {ceiling:g}, got {g:g} "
+                  f"(baseline {b:g})")
+            if status == "FAIL":
+                failures.append(f"{name}: {g:g} above allowed maximum "
+                                f"{ceiling:g}")
+            continue
         if gate != "band":
             sys.exit(f"error: {baseline_path}: {name}: unknown gate "
-                     f"{gate!r} (want band, min or info)")
+                     f"{gate!r} (want band, min, max or info)")
         band = tolerance * max(abs(b), 1e-12)
         drift = g - b
         status = "ok" if abs(drift) <= band else "FAIL"
