@@ -1,7 +1,10 @@
 // Scenario engine throughput: how many generated client sessions the
-// virtual grid sustains, at two scales.
+// virtual grid sustains, at three scales.
 //
 //   small — 256 nodes (8 clusters x 32), 20k bursty sessions;
+//   san   — one 1024-node Myrinet-2000 cluster, 30k sessions of 4
+//           requests, every frame through SanDriver -> Madeleine ->
+//           MadIO (the shape of bench/e2e's san_rpc);
 //   large — 10,000 nodes (100 clusters x 100), 1M Poisson sessions.
 //
 // The large scale runs TWICE and the bench fails (exit 1) if the two
@@ -12,7 +15,8 @@
 // sessions per wall second (info — machine-dependent), and heap
 // allocations per session, counted by this file's replacement of the
 // global operator new (deterministic for a given toolchain and seed,
-// so it is max-gated).
+// so it is max-gated).  The san scale runs once and reports its
+// allocations per session too: the SAN path's own host-work gate.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -51,6 +55,18 @@ sc::ScenarioSpec small_scale() {
       sc::small_world(8, 32, 20'000, 2'000'000.0, 2026);
   spec.workload.burst_depth = 0.5;
   spec.workload.burst_period = padico::core::milliseconds(1);
+  return spec;
+}
+
+sc::ScenarioSpec san_scale() {
+  sc::ScenarioSpec spec;
+  spec.name = "san";
+  spec.seed = 2026;
+  spec.clusters.assign(
+      1, sc::ClusterSpec{1024, 64, padico::simnet::profiles::myrinet2000()});
+  spec.workload.sessions = 30'000;
+  spec.workload.rate_per_sec = 5'000'000.0;
+  spec.workload.requests_per_session = 4;
   return spec;
 }
 
@@ -110,6 +126,13 @@ int main(int argc, char** argv) {
   session.metric("small.bytes_per_vsec", "B/s", small.report.bytes_per_vsec);
   session.metric("small.sessions_per_vsec", "1/s",
                  small.report.sessions_per_vsec);
+
+  const TimedReport san = timed_run("san", san_scale());
+  session.metric("san.events_per_vsec", "ev/s", san.report.events_per_vsec);
+  session.metric("san.sessions_per_vsec", "1/s",
+                 san.report.sessions_per_vsec);
+  session.metric("san.allocs_per_session", "1/session",
+                 san.allocs_per_session);
 
   const TimedReport large = timed_run("large", large_scale());
   session.metric("large.events_per_vsec", "ev/s",

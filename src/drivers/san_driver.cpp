@@ -9,22 +9,6 @@ namespace padico::drv {
 
 GmCosts gm_costs() { return GmCosts{}; }
 
-namespace {
-
-core::Bytes make_frame(std::uint8_t type, std::uint32_t seq,
-                       core::ByteView payload) {
-  core::Bytes frame(SanDriver::kFrameHeader + payload.size(), 0);
-  frame[0] = type;
-  std::memcpy(frame.data() + 4, &seq, sizeof(seq));
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + SanDriver::kFrameHeader, payload.data(),
-                payload.size());
-  }
-  return frame;
-}
-
-}  // namespace
-
 SanDriver::SanDriver(core::Host& host, simnet::Fabric& fabric,
                      simnet::NetId net, GmCosts costs, std::string name)
     : host_(&host),
@@ -50,33 +34,55 @@ bool SanDriver::reaches(core::NodeId node) const {
   return node != host_->id() && net_->attached(node);
 }
 
-void SanDriver::send(core::NodeId dst, core::Bytes msg) {
-  Peer& peer = peers_[dst];
-  peer.queue.push_back(Pending{std::move(msg), peer.next_seq++});
-  pump(dst);
-}
-
-void SanDriver::pump(core::NodeId dst) {
-  Peer& peer = peers_[dst];
-  while (!peer.queue.empty() && !peer.awaiting_ack) {
-    if (peer.queue.front().msg.size() > costs_.eager_threshold) {
-      // Rendezvous: ask first, hold the queue until the ACK arrives so
-      // later messages cannot overtake the large one.
-      peer.awaiting_ack = true;
-      ++rendezvous_sent_;
-      emit(dst, kReq, peer.queue.front().seq, {});
-      return;
-    }
-    Pending out = std::move(peer.queue.front());
-    peer.queue.pop_front();
-    ++eager_sent_;
-    emit(dst, kEager, out.seq, core::view_of(out.msg));
+void SanDriver::send(core::NodeId dst, core::Bytes frame) {
+  if (frame.size() < kFrameHeader) {
+    throw std::invalid_argument(
+        "SanDriver::send(): a " + std::to_string(frame.size()) +
+        "-byte frame has no room for the " + std::to_string(kFrameHeader) +
+        "-byte header");
+  }
+  Pending msg{std::move(frame), next_seq_++};
+  auto it = stalled_.find(dst);
+  if (it != stalled_.end()) {
+    it->second.push_back(std::move(msg));  // behind the rendezvous
+  } else if (!start(dst, msg)) {
+    stalled_[dst].push_back(std::move(msg));
   }
 }
 
+bool SanDriver::start(core::NodeId dst, Pending& msg) {
+  if (msg.frame.size() - kFrameHeader > costs_.eager_threshold) {
+    // Rendezvous: ask first; the message, and every later one to
+    // `dst`, waits for the ACK so nothing overtakes the large one.
+    ++rendezvous_sent_;
+    emit(dst, kReq, msg.seq, core::Bytes(kFrameHeader));
+    return false;
+  }
+  ++eager_sent_;
+  emit(dst, kEager, msg.seq, std::move(msg.frame));
+  return true;
+}
+
+void SanDriver::on_ack(core::NodeId src, std::uint32_t seq) {
+  auto it = stalled_.find(src);
+  // Only the ACK echoing the announced message releases it; a stale or
+  // forged one is dropped.
+  if (it == stalled_.end() || it->second.front().seq != seq) return;
+  std::deque<Pending>& queue = it->second;
+  emit(src, kData, seq, std::move(queue.front().frame));
+  queue.pop_front();
+  while (!queue.empty()) {
+    if (!start(src, queue.front())) return;  // the next rendezvous
+    queue.pop_front();
+  }
+  stalled_.erase(it);
+}
+
 void SanDriver::emit(core::NodeId dst, FrameType type, std::uint32_t seq,
-                     core::ByteView payload) {
-  core::Bytes frame = make_frame(type, seq, payload);
+                     core::Bytes frame) {
+  frame[0] = type;
+  std::memset(frame.data() + 1, 0, 3);
+  std::memcpy(frame.data() + 4, &seq, sizeof(seq));
   // Host-side injection: the CPU serialises message preparation, so
   // back-to-back small sends pay per-message cost additively.
   core::Engine& eng = host_->engine();
@@ -93,32 +99,20 @@ void SanDriver::emit(core::NodeId dst, FrameType type, std::uint32_t seq,
 
 void SanDriver::on_wire(core::NodeId src, core::Bytes frame) {
   if (frame.size() < kFrameHeader) return;  // malformed; drop
-  const std::uint8_t type = frame[0];
-  switch (type) {
-    case kReq: {
-      std::uint32_t seq = 0;
-      std::memcpy(&seq, frame.data() + 4, sizeof(seq));
-      emit(src, kAck, seq, {});
+  std::uint32_t seq = 0;
+  std::memcpy(&seq, frame.data() + 4, sizeof(seq));
+  switch (frame[0]) {
+    case kReq:
+      frame.resize(kFrameHeader);  // the ACK reuses the REQ's buffer
+      emit(src, kAck, seq, std::move(frame));
       return;
-    }
-    case kAck: {
-      auto it = peers_.find(src);
-      if (it == peers_.end() || !it->second.awaiting_ack) return;  // stale
-      Peer& peer = it->second;
-      peer.awaiting_ack = false;
-      Pending out = std::move(peer.queue.front());
-      peer.queue.pop_front();
-      emit(src, kData, out.seq, core::view_of(out.msg));
-      pump(src);
+    case kAck:
+      on_ack(src, seq);
       return;
-    }
     case kEager:
-    case kData: {
-      if (!recv_) return;
-      core::Bytes payload(frame.begin() + kFrameHeader, frame.end());
-      recv_(src, std::move(payload));
+    case kData:
+      if (recv_) recv_(src, std::move(frame), kFrameHeader);
       return;
-    }
     default:
       return;  // unknown frame type; drop
   }

@@ -12,20 +12,28 @@
 // simnet layer underneath.
 //
 // Ordering: messages to one destination are injected strictly in post
-// order — a rendezvous in progress stalls the queue behind it — so the
+// order — a rendezvous in progress stalls the sends behind it — so the
 // byte-stream layers above never see reordering across the eager /
-// rendezvous boundary.
+// rendezvous boundary.  A destination with no rendezvous in flight
+// holds no state: its sends go out at once.
+//
+// Buffers: the caller builds each frame with `kFrameHeader` bytes of
+// headroom in front of the payload; the driver stamps its header there
+// and the same buffer travels the wire and reaches the receiver, which
+// gets `(frame, kFrameHeader)` — no copy on either side.
 //
 // Wire format, one simnet message per frame (host byte order):
 //   [u8 type][u8 reserved][u16 reserved][u32 seq]  = 8 header bytes,
-// followed by the payload for kEager / kData frames.
+// followed by the payload for kEager / kData frames.  `seq` comes from
+// one driver-wide counter, one number per `send`; a REQ carries its
+// message's number and the ACK must echo it.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 
 #include "core/host.hpp"
 #include "simnet/network.hpp"
@@ -49,7 +57,9 @@ GmCosts gm_costs();
 
 class SanDriver {
  public:
-  using RecvFn = std::function<void(core::NodeId src, core::Bytes msg)>;
+  /// Receives a whole wire frame; the payload starts at `offset`.
+  using RecvFn = std::function<void(core::NodeId src, core::Bytes frame,
+                                    std::size_t offset)>;
 
   static constexpr std::size_t kFrameHeader = 8;
 
@@ -68,14 +78,20 @@ class SanDriver {
   /// Install the single upper-layer receiver (Madeleine owns demux).
   void set_receiver(RecvFn fn) { recv_ = std::move(fn); }
 
-  /// Queue `msg` for delivery to `dst`.  Returns immediately; injection
-  /// cost, rendezvous and wire time all unfold in virtual time.
-  void send(core::NodeId dst, core::Bytes msg);
+  /// Queue `frame` for delivery to `dst`: its first `kFrameHeader`
+  /// bytes are headroom the driver overwrites with its header, the
+  /// rest is the payload.  Returns immediately; injection cost,
+  /// rendezvous and wire time all unfold in virtual time.  Throws
+  /// std::invalid_argument if `frame` is shorter than the headroom.
+  void send(core::NodeId dst, core::Bytes frame);
 
   bool reaches(core::NodeId node) const;
 
   std::uint64_t eager_sent() const noexcept { return eager_sent_; }
   std::uint64_t rendezvous_sent() const noexcept { return rendezvous_sent_; }
+
+  /// Destinations with a rendezvous in flight.
+  std::size_t stalled() const noexcept { return stalled_.size(); }
 
  private:
   enum FrameType : std::uint8_t {
@@ -86,19 +102,16 @@ class SanDriver {
   };
 
   struct Pending {
-    core::Bytes msg;
+    core::Bytes frame;
     std::uint32_t seq;
   };
 
-  struct Peer {
-    std::deque<Pending> queue;
-    bool awaiting_ack = false;
-    std::uint32_t next_seq = 1;
-  };
-
-  void pump(core::NodeId dst);
+  /// Eager frames go out now; a large one sends its REQ and returns
+  /// false, the caller stalls it until the matching ACK.
+  bool start(core::NodeId dst, Pending& msg);
+  void on_ack(core::NodeId src, std::uint32_t seq);
   void emit(core::NodeId dst, FrameType type, std::uint32_t seq,
-            core::ByteView payload);
+            core::Bytes frame);
   void on_wire(core::NodeId src, core::Bytes frame);
 
   core::Host* host_;
@@ -106,7 +119,10 @@ class SanDriver {
   GmCosts costs_;
   std::string name_;
   RecvFn recv_;
-  std::map<core::NodeId, Peer> peers_;
+  // One entry per destination with a REQ outstanding: its front is the
+  // message that REQ announced, the rest were posted behind it.
+  std::unordered_map<core::NodeId, std::deque<Pending>> stalled_;
+  std::uint32_t next_seq_ = 1;
   core::SimTime cpu_busy_until_ = 0;
   std::uint64_t eager_sent_ = 0;
   std::uint64_t rendezvous_sent_ = 0;

@@ -217,11 +217,11 @@ void Circuit::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
       obs_recvs_->add();
       // Hand off to the node's I/O manager: the handler runs when the
       // arbitration pump schedules it, competing with SysIO/MadIO
-      // events.  (shared_ptr because std::function needs a copyable
-      // closure; the handle is move-only.  The liveness token makes a
-      // dispatch outliving its Circuit a no-op instead of a
-      // use-after-free.)
-      auto owned = std::make_shared<mad::UnpackHandle>(std::move(handle));
+      // events.  (The handle, which owns the message buffer, rides
+      // behind a pointer so the closure fits core::EventFn's inline
+      // budget.  The liveness token makes a dispatch outliving its
+      // Circuit a no-op instead of a use-after-free.)
+      auto owned = std::make_unique<mad::UnpackHandle>(std::move(handle));
       access_->post_mad(
           [this, src_rank, owned = std::move(owned), alive = alive_] {
             if (!*alive) return;

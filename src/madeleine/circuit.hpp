@@ -31,8 +31,9 @@
 // dispatch cost of the node's NetAccess pump, through which every
 // received circuit message competes with SysIO/MadIO flows.  A Circuit
 // borrows its NetAccess and Madeleine (the Grid owns both) and must be
-// destroyed before them; handlers and sequence state live in ordered
-// containers, so circuit traffic traces are bit-identical across runs.
+// destroyed before them; handlers live in ordered containers and the
+// sequence book is lookup-only, so circuit traffic traces are
+// bit-identical across runs.
 #pragma once
 
 #include <cstdint>

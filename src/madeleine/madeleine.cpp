@@ -8,9 +8,10 @@ namespace padico::mad {
 
 Madeleine::Madeleine(core::Host& host, drv::SanDriver& driver)
     : host_(&host), drv_(&driver) {
-  drv_->set_receiver([this](core::NodeId src, core::Bytes msg) {
-    on_driver_message(src, std::move(msg));
-  });
+  drv_->set_receiver(
+      [this](core::NodeId src, core::Bytes frame, std::size_t offset) {
+        on_driver_message(src, std::move(frame), offset);
+      });
 }
 
 Channel* Madeleine::establish(std::uint8_t id) {
@@ -56,21 +57,26 @@ void Madeleine::end_packing(PackHandle handle) {
       static_cast<std::uint16_t>(handle.iov_.segments());
   const std::uint32_t length =
       static_cast<std::uint32_t>(handle.iov_.byte_size());
-  core::Bytes msg(kHeaderSize + length, 0);
-  msg[0] = kMagic;
-  msg[1] = handle.channel_;
-  std::memcpy(msg.data() + 2, &segments, sizeof(segments));
-  std::memcpy(msg.data() + 4, &length, sizeof(length));
-  std::size_t off = kHeaderSize;
+  std::uint8_t header[kHeaderSize] = {kMagic, handle.channel_};
+  std::memcpy(header + 2, &segments, sizeof(segments));
+  std::memcpy(header + 4, &length, sizeof(length));
+  // One buffer all the way to the receiver: headroom the driver stamps
+  // its header into, then ours, then the segments, each byte written
+  // once.
+  core::Bytes frame;
+  frame.reserve(drv::SanDriver::kFrameHeader + kHeaderSize + length);
+  frame.resize(drv::SanDriver::kFrameHeader);
+  frame.insert(frame.end(), header, header + kHeaderSize);
   for (std::size_t i = 0; i < handle.iov_.segments(); ++i) {
     const core::ByteView seg = handle.iov_.view(i);
-    std::memcpy(msg.data() + off, seg.data(), seg.size());
-    off += seg.size();
+    frame.insert(frame.end(), seg.begin(), seg.end());
   }
-  drv_->send(handle.dst_, std::move(msg));
+  drv_->send(handle.dst_, std::move(frame));
 }
 
-void Madeleine::on_driver_message(core::NodeId src, core::Bytes msg) {
+void Madeleine::on_driver_message(core::NodeId src, core::Bytes frame,
+                                  std::size_t offset) {
+  const core::ByteView msg(frame.data() + offset, frame.size() - offset);
   if (msg.size() < kHeaderSize || msg[0] != kMagic) {
     ++malformed_;
     return;
@@ -87,7 +93,7 @@ void Madeleine::on_driver_message(core::NodeId src, core::Bytes msg) {
     return;
   }
   ++received_;
-  UnpackHandle handle(std::move(msg), kHeaderSize);
+  UnpackHandle handle(std::move(frame), offset + kHeaderSize);
   it->second(src, handle);
 }
 

@@ -13,6 +13,10 @@
 // Wire format per message (host byte order):
 //   [u8 magic 0x4D][u8 channel][u16 segment count][u32 payload bytes]
 // followed by the concatenated segments (8 header bytes total).
+// `end_packing` builds it in one buffer behind the SAN driver's
+// headroom; the driver sends that buffer and the receiving Madeleine
+// wraps it, driver header included, in the UnpackHandle — a message
+// crosses the SAN with one copy, the gather at flush time.
 //
 // Channel establishment is one shared path: `open_channel()` takes the
 // lowest free id (MadIO's bootstrap channel 0), `open_channel_at(id)`
@@ -204,7 +208,8 @@ class Madeleine {
 
   PackHandle begin_packing(Channel& channel, core::NodeId dst);
 
-  /// Flush: the whole handle travels as one driver message.
+  /// Flush: the whole handle travels as one driver message, built in
+  /// one buffer with the driver's headroom in front.
   void end_packing(PackHandle handle);
 
   std::uint64_t messages_received() const noexcept { return received_; }
@@ -212,7 +217,8 @@ class Madeleine {
 
  private:
   Channel* establish(std::uint8_t id);
-  void on_driver_message(core::NodeId src, core::Bytes msg);
+  void on_driver_message(core::NodeId src, core::Bytes frame,
+                         std::size_t offset);
 
   core::Host* host_;
   drv::SanDriver* drv_;

@@ -25,10 +25,10 @@
 // its own — its cost is the header bytes it puts on the wire plus the
 // NetAccess dispatch below.  A MadIO borrows its NetAccess and
 // Madeleine (the Grid's SAN stack owns all three, bottom-up) and owns
-// its bootstrap channel (always Madeleine channel 0).  Handlers and
-// per-(tag, node) sequence books live in hash maps — dispatch does
-// point lookups only, never iterates them, so bucket order cannot
-// leak into dispatch traces.
+// its bootstrap channel (always Madeleine channel 0).  Handlers live in
+// a hash map and the per-(tag, node) sequence numbers in a SeqBook's
+// flat table — dispatch does point lookups only, never iterates
+// either, so slot order cannot leak into dispatch traces.
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,9 @@
 //
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN
-// stack) and claims the reserved kVLinkTag on it; the VLink owns the
-// driver itself.  Inherits FrameDriver's ordered connection books, so
+// stack) and installs the handler of kVLinkTag on it; the VLink owns
+// the driver itself.  A received frame arrives in the SAN message's
+// own buffer, which the link adopts (`take_buffer`, no copy).  Inherits FrameDriver's ordered connection books, so
 // link establishment order is bit-identical across runs.
 #pragma once
 

@@ -11,20 +11,22 @@
 // one loss is one gap, not a gap per subsequent message).
 //
 // Units / ownership / determinism: pure bookkeeping, no clocks.  Keys
-// live in hash maps — nothing ever iterates them, only point lookups
-// on the per-message hot path, so bucket order can never leak into
-// dispatch traces.
+// live in one flat open-addressing table (linear probing, power-of-two
+// capacity, keys packed into 64 bits): one slot holds a key's send and
+// receive counters, so a request and its reply touch the same slot,
+// and no key is ever removed.  Nothing iterates the table, only point
+// lookups on the per-message hot path, so slot order can never leak
+// into dispatch traces.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace padico::net {
 
-/// Hash for SeqBook keys: integral keys use std::hash directly; pair
-/// keys mix both halves through a splitmix-style finalizer so (tag,
+/// Hash for packed SeqBook keys: a splitmix-style finalizer, so (tag,
 /// node) pairs that differ only in the low bits still spread.
 struct SeqKeyHash {
   static std::uint64_t mix(std::uint64_t x) noexcept {
@@ -33,31 +35,22 @@ struct SeqKeyHash {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
   }
-
-  template <typename T>
-  std::size_t operator()(const T& k) const noexcept {
-    return std::hash<T>{}(k);
-  }
-
-  template <typename A, typename B>
-  std::size_t operator()(const std::pair<A, B>& k) const noexcept {
-    return static_cast<std::size_t>(
-        mix((static_cast<std::uint64_t>(k.first) << 32) ^
-            static_cast<std::uint64_t>(k.second)));
-  }
 };
 
+/// `Key` is an integral type of at most 64 bits or a pair of integral
+/// types of at most 32 bits each; either packs into one 64-bit word
+/// without collisions (negative values included).
 template <typename Key>
 class SeqBook {
  public:
   /// Next sequence number of the stream keyed `k` (first call: 1).
-  std::uint64_t next(const Key& k) { return ++next_[k]; }
+  std::uint64_t next(const Key& k) { return ++slot(k).next; }
 
   /// Record `seq` arriving on the stream keyed `k`.  Returns true when
   /// it follows its predecessor; otherwise counts one gap, resyncs the
   /// expectation to `seq`, and returns false.
   bool observe(const Key& k, std::uint64_t seq) {
-    std::uint64_t& expected = recv_[k];
+    std::uint64_t& expected = slot(k).expected;
     if (seq != ++expected) {
       expected = seq;
       ++gaps_;
@@ -70,8 +63,61 @@ class SeqBook {
   std::uint64_t gaps() const noexcept { return gaps_; }
 
  private:
-  std::unordered_map<Key, std::uint64_t, SeqKeyHash> next_;
-  std::unordered_map<Key, std::uint64_t, SeqKeyHash> recv_;
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint64_t next = 0;      // last number handed out
+    std::uint64_t expected = 0;  // last number observed
+    bool used = false;
+  };
+
+  template <typename T>
+  static std::uint64_t bits(T v) noexcept {
+    return static_cast<std::uint64_t>(static_cast<std::make_unsigned_t<T>>(v));
+  }
+
+  static std::uint64_t pack(const Key& k) noexcept {
+    if constexpr (std::is_integral_v<Key>) {
+      static_assert(sizeof(Key) <= 8);
+      return bits(k);
+    } else {
+      static_assert(sizeof(typename Key::first_type) <= 4 &&
+                    sizeof(typename Key::second_type) <= 4);
+      return (bits(k.first) << 32) | bits(k.second);
+    }
+  }
+
+  /// The slot of `k`, claimed on first use.  Grows first whenever one
+  /// more key would lift the load above 3/4.
+  Slot& slot(const Key& k) {
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+    const std::uint64_t key = pack(k);
+    Slot* s = probe(slots_, key);
+    if (!s->used) {
+      s->used = true;
+      s->key = key;
+      ++size_;
+    }
+    return *s;
+  }
+
+  /// The slot holding `key`, or the empty one where it belongs.
+  static Slot* probe(std::vector<Slot>& slots, std::uint64_t key) noexcept {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = static_cast<std::size_t>(SeqKeyHash::mix(key)) & mask;
+    while (slots[i].used && slots[i].key != key) i = (i + 1) & mask;
+    return &slots[i];
+  }
+
+  void grow() {
+    std::vector<Slot> bigger(slots_.empty() ? 8 : slots_.size() * 2);
+    for (const Slot& s : slots_) {
+      if (s.used) *probe(bigger, s.key) = s;
+    }
+    slots_ = std::move(bigger);
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
   std::uint64_t gaps_ = 0;
 };
 

@@ -4,8 +4,8 @@
 //
 // Ownership / determinism: everything here is a value type; no clocks,
 // no allocation beyond the returned Header.  Sequence numbers are
-// supplied by the caller (per-(tag, destination) counters kept in
-// ordered maps), so traces stay bit-identical across runs.
+// supplied by the caller (each layer's net::SeqBook), so traces stay
+// bit-identical across runs.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,8 @@
 namespace padico::net {
 
 /// Identifies one logical stream multiplexed over a node pair's SAN
-/// access.  Middleware personalities each claim their own tag.
+/// access.  Tags need no reservation: MadIO runs at most one handler
+/// per tag, and a circuit's tag lives on the circuit's own channel.
 using Tag = std::uint16_t;
 
 /// The shared control-header shape of the tag-multiplexed layers: tag

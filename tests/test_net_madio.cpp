@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
@@ -15,6 +19,7 @@
 #include "madeleine/madeleine.hpp"
 #include "net/madio_driver.hpp"
 #include "net/netaccess.hpp"
+#include "net/seqbook.hpp"
 #include "simnet/simnet.hpp"
 
 namespace pc = padico::core;
@@ -64,16 +69,48 @@ struct Stack {
 // SanDriver
 // ---------------------------------------------------------------------------
 
+namespace {
+
+constexpr std::size_t kHead = dr::SanDriver::kFrameHeader;
+
+/// A SAN frame: the driver's headroom, then `payload` bytes of `fill`.
+pc::Bytes san_frame(std::size_t payload, std::uint8_t fill = 0) {
+  return pc::Bytes(kHead + payload, fill);
+}
+
+/// `n` SAN drivers on one Myrinet, wired by hand.
+struct SanNodes {
+  pc::Engine engine;
+  sn::Fabric fabric{engine};
+  sn::NetId san;
+  std::vector<std::unique_ptr<pc::Host>> hosts;
+  std::vector<std::unique_ptr<dr::SanDriver>> drivers;
+
+  explicit SanNodes(pc::NodeId n)
+      : san(fabric.add_network(sn::profiles::myrinet2000())) {
+    for (pc::NodeId i = 0; i < n; ++i) {
+      fabric.attach(san, i);
+      hosts.push_back(std::make_unique<pc::Host>(engine, i));
+      drivers.push_back(std::make_unique<dr::SanDriver>(
+          *hosts.back(), fabric, san, dr::gm_costs(), "gm"));
+    }
+  }
+
+  dr::SanDriver& operator[](std::size_t i) { return *drivers[i]; }
+};
+
+}  // namespace
+
 TEST(SanDriver, EagerDeliveryPaysInjectionAndWireCosts) {
   Stack s;
   pc::SimTime arrival = 0;
   pc::Bytes got;
-  s.d1->set_receiver([&](pc::NodeId src, pc::Bytes msg) {
+  s.d1->set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off) {
     EXPECT_EQ(src, 0u);
     arrival = s.engine.now();
-    got = std::move(msg);
+    got.assign(frame.begin() + static_cast<std::ptrdiff_t>(off), frame.end());
   });
-  s.d0->send(1, pc::Bytes(16, 0x42));
+  s.d0->send(1, san_frame(16, 0x42));
   s.engine.run_until_idle();
 
   ASSERT_EQ(got.size(), 16u);
@@ -87,9 +124,10 @@ TEST(SanDriver, EagerDeliveryPaysInjectionAndWireCosts) {
 TEST(SanDriver, BackToBackSendsSerialiseOnTheHostCpu) {
   Stack s;
   std::vector<pc::SimTime> arrivals;
-  s.d1->set_receiver(
-      [&](pc::NodeId, pc::Bytes) { arrivals.push_back(s.engine.now()); });
-  for (int i = 0; i < 4; ++i) s.d0->send(1, pc::Bytes(8, 1));
+  s.d1->set_receiver([&](pc::NodeId, pc::Bytes, std::size_t) {
+    arrivals.push_back(s.engine.now());
+  });
+  for (int i = 0; i < 4; ++i) s.d0->send(1, san_frame(8, 1));
   s.engine.run_until_idle();
 
   ASSERT_EQ(arrivals.size(), 4u);
@@ -106,13 +144,14 @@ TEST(SanDriver, LargeMessagesRendezvous) {
   const std::size_t big = dr::gm_costs().eager_threshold + 1;
   pc::SimTime small_arrival = 0, big_arrival = 0;
   std::vector<std::size_t> order;
-  s.d1->set_receiver([&](pc::NodeId, pc::Bytes msg) {
-    order.push_back(msg.size());
-    (msg.size() == big ? big_arrival : small_arrival) = s.engine.now();
+  s.d1->set_receiver([&](pc::NodeId, pc::Bytes frame, std::size_t off) {
+    const std::size_t n = frame.size() - off;
+    order.push_back(n);
+    (n == big ? big_arrival : small_arrival) = s.engine.now();
   });
   const std::uint64_t before = s.fabric.network(s.san).messages_sent();
-  s.d0->send(1, pc::Bytes(big, 0x99));
-  s.d0->send(1, pc::Bytes(4, 0x01));  // must NOT overtake the big one
+  s.d0->send(1, san_frame(big, 0x99));
+  s.d0->send(1, san_frame(4, 0x01));  // must NOT overtake the big one
   s.engine.run_until_idle();
 
   EXPECT_EQ(s.d0->rendezvous_sent(), 1u);
@@ -125,6 +164,113 @@ TEST(SanDriver, LargeMessagesRendezvous) {
   EXPECT_EQ(order[1], 4u);
   EXPECT_GT(big_arrival, pc::microseconds(21));  // REQ + ACK + data wire trips
   EXPECT_GT(small_arrival, big_arrival);
+}
+
+TEST(SanDriver, FramesPassThroughInOneBuffer) {
+  // The buffer handed to send() is the one the receiver gets: the
+  // driver stamps its header into the headroom and copies nothing.  The
+  // odd capacity tells the buffer apart from a copy that the allocator
+  // happened to place at the freed original's address.
+  Stack s;
+  const std::string payload = "one buffer end to end";
+  pc::Bytes frame;
+  frame.reserve(1000);
+  frame.resize(kHead + payload.size());
+  std::memcpy(frame.data() + kHead, payload.data(), payload.size());
+  const std::uint8_t* sent = frame.data();
+  bool same_buffer = false;
+  std::size_t offset = 0;
+  std::string got;
+  s.d1->set_receiver([&](pc::NodeId, pc::Bytes f, std::size_t off) {
+    same_buffer = f.data() == sent && f.capacity() == 1000;
+    offset = off;
+    got.assign(f.begin() + static_cast<std::ptrdiff_t>(off), f.end());
+  });
+  s.d0->send(1, std::move(frame));
+  s.engine.run_until_idle();
+  EXPECT_TRUE(same_buffer);
+  EXPECT_EQ(offset, kHead);
+  EXPECT_EQ(got, payload);
+}
+
+TEST(SanDriver, RejectsFramesWithoutHeadroom) {
+  Stack s;
+  EXPECT_THROW(s.d0->send(1, pc::Bytes(kHead - 1)), std::invalid_argument);
+  EXPECT_THROW(s.d0->send(1, pc::Bytes{}), std::invalid_argument);
+  s.d0->send(1, pc::Bytes(kHead));  // an empty payload is fine
+  s.engine.run_until_idle();
+  EXPECT_EQ(s.d0->eager_sent(), 1u);
+}
+
+TEST(SanDriver, StrayAckDoesNotReleaseARendezvous) {
+  // An ACK whose sequence number is not the announced message's must
+  // be dropped: only the real ACK releases the large message.
+  auto big_arrival_us = [](bool forge) {
+    Stack s;
+    pc::SimTime arrival = 0;
+    s.d1->set_receiver([&](pc::NodeId, pc::Bytes, std::size_t) {
+      arrival = s.engine.now();
+    });
+    s.d0->send(1, san_frame(dr::gm_costs().eager_threshold + 1));
+    if (forge) {
+      pc::Bytes ack(kHead, 0);
+      ack[0] = 3;  // kAck
+      const std::uint32_t seq = 42;
+      std::memcpy(ack.data() + 4, &seq, sizeof(seq));
+      EXPECT_TRUE(s.fabric.network(s.san).send(1, 0, std::move(ack)).ok());
+    }
+    s.engine.run_until_idle();
+    EXPECT_EQ(s.d0->stalled(), 0u);
+    return pc::to_micros(arrival);
+  };
+  const double clean = big_arrival_us(false);
+  EXPECT_NEAR(clean, 167.52, 0.01);  // REQ + ACK round trip, then data
+  EXPECT_EQ(big_arrival_us(true), clean);
+}
+
+TEST(SanDriver, RendezvousToOneNodeDoesNotDelayAnother) {
+  // The stall is per destination: an eager message to node 2 posted
+  // behind a rendezvous to node 1 leaves at once, exactly as it does
+  // behind an eager message of the REQ's size.
+  auto eager_arrival = [](std::size_t first_payload) {
+    SanNodes s(3);
+    pc::SimTime arrival = 0;
+    s[2].set_receiver([&](pc::NodeId, pc::Bytes, std::size_t) {
+      arrival = s.engine.now();
+    });
+    s[0].send(1, san_frame(first_payload));
+    s[0].send(2, san_frame(64));
+    EXPECT_EQ(s[0].stalled(), first_payload == 0 ? 0u : 1u);
+    s.engine.run_until_idle();
+    EXPECT_EQ(s[0].stalled(), 0u);
+    return arrival;
+  };
+  const pc::SimTime behind_rendezvous =
+      eager_arrival(dr::gm_costs().eager_threshold + 1);
+  EXPECT_GT(behind_rendezvous, 0u);
+  EXPECT_EQ(behind_rendezvous, eager_arrival(0));
+}
+
+TEST(SanDriver, MixedSendsToOneNodeArriveInPostOrder) {
+  SanNodes s(3);
+  const std::size_t big = dr::gm_costs().eager_threshold + 1;
+  std::vector<std::uint8_t> order;
+  s[1].set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off) {
+    EXPECT_EQ(src, 0u);
+    order.push_back(frame[off]);
+  });
+  s[0].send(1, san_frame(big, 1));
+  s[0].send(1, san_frame(16, 2));
+  s[0].send(1, san_frame(big, 3));
+  s[0].send(1, san_frame(16, 4));
+  s[0].send(1, san_frame(16, 5));
+  EXPECT_EQ(s[0].stalled(), 1u);
+  s.engine.run_until_idle();
+
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(s[0].rendezvous_sent(), 2u);
+  EXPECT_EQ(s[0].eager_sent(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(s[i].stalled(), 0u) << i;
 }
 
 TEST(SanDriver, RefusesLossyNetworks) {
@@ -248,6 +394,70 @@ TEST(MadIO, UnknownTagIsDroppedCleanly) {
   s.io0->send(42, 1, pc::view_of("nobody listens"));
   s.engine.run_until_idle();
   EXPECT_EQ(s.io1->dropped(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// SeqBook
+// ---------------------------------------------------------------------------
+
+TEST(SeqBook, KeysStaySeparateStreamsAcrossTableGrowth) {
+  // 3,000 (tag, node) keys push the table through nine doublings; every
+  // key keeps its own send and receive counters throughout.
+  net::SeqBook<std::pair<net::Tag, pc::NodeId>> book;
+  std::vector<std::pair<net::Tag, pc::NodeId>> keys;
+  for (pc::NodeId n = 0; n < 1000; ++n) {
+    for (const net::Tag tag : {net::Tag{0}, net::Tag{7}, net::MadIO::kVLinkTag}) {
+      keys.emplace_back(tag, n);
+    }
+  }
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    for (const auto& k : keys) {
+      ASSERT_EQ(book.next(k), round);
+      ASSERT_TRUE(book.observe(k, round));
+    }
+  }
+  EXPECT_EQ(book.gaps(), 0u);
+
+  // A gap on one key counts once, resyncs, and touches no other key.
+  EXPECT_FALSE(book.observe(keys[5], 9));
+  EXPECT_EQ(book.gaps(), 1u);
+  EXPECT_TRUE(book.observe(keys[5], 10));
+  EXPECT_TRUE(book.observe(keys[4], 4));
+  EXPECT_TRUE(book.observe(keys[6], 4));
+  EXPECT_EQ(book.next(keys[5]), 4u);
+  EXPECT_EQ(book.gaps(), 1u);
+}
+
+TEST(SeqBook, PairKeysDifferingInOneHalfAreDistinct) {
+  net::SeqBook<std::pair<net::Tag, pc::NodeId>> book;
+  const std::pair<net::Tag, pc::NodeId> keys[] = {
+      {0, 0}, {1, 0}, {0, 1}, {1, 1}, {0xFFFF, 0}, {0, 0xFFFFFFFF},
+      {0xFFFF, 0xFFFFFFFF}};
+  for (const auto& k : keys) EXPECT_EQ(book.next(k), 1u);
+  for (const auto& k : keys) EXPECT_EQ(book.next(k), 2u);
+  for (const auto& k : keys) EXPECT_TRUE(book.observe(k, 1));
+  EXPECT_EQ(book.gaps(), 0u);
+
+  net::SeqBook<int> ranks;  // the circuit layer's book
+  EXPECT_EQ(ranks.next(0), 1u);
+  EXPECT_EQ(ranks.next(1), 1u);
+  EXPECT_EQ(ranks.next(0), 2u);
+}
+
+TEST(SeqBook, NegativeMpiTagsAreTheirOwnStreams) {
+  // MPI keys on (peer rank, tag), and tags may be negative: each sign
+  // and each half is its own stream.
+  net::SeqBook<std::pair<int, int>> book;
+  const std::pair<int, int> keys[] = {
+      {0, -1}, {0, 1}, {-1, 0}, {1, 0}, {-1, -1}, {0, INT32_MIN},
+      {0, INT32_MAX}, {INT32_MIN, 0}};
+  for (const auto& k : keys) EXPECT_EQ(book.next(k), 1u);
+  EXPECT_EQ(book.next({0, -1}), 2u);
+  EXPECT_EQ(book.next({0, 1}), 2u);
+  for (const auto& k : keys) EXPECT_TRUE(book.observe(k, 1));
+  EXPECT_FALSE(book.observe({0, -1}, 3));  // skipped 2
+  EXPECT_TRUE(book.observe({0, 1}, 2));
+  EXPECT_EQ(book.gaps(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -72,8 +73,10 @@ class BareLink final : public vl::Link {
 
 /// A frame carrying `payload` behind `offset` bytes of transport header.
 pc::Bytes framed(std::size_t offset, std::string_view payload) {
-  pc::Bytes frame(offset, 0xEE);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  pc::Bytes frame(offset + payload.size(), 0xEE);
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + offset, payload.data(), payload.size());
+  }
   return frame;
 }
 
