@@ -37,8 +37,8 @@ struct Stack {
     fabric.attach(san, 1);
     h0 = std::make_unique<pc::Host>(engine, 0);
     h1 = std::make_unique<pc::Host>(engine, 1);
-    d0 = std::make_unique<dr::SanDriver>(*h0, fabric, san, dr::gm_costs(), "gm");
-    d1 = std::make_unique<dr::SanDriver>(*h1, fabric, san, dr::gm_costs(), "gm");
+    d0 = std::make_unique<dr::SanDriver>(*h0, fabric, san);
+    d1 = std::make_unique<dr::SanDriver>(*h1, fabric, san);
     m0 = std::make_unique<md::Madeleine>(*h0, *d0);
     m1 = std::make_unique<md::Madeleine>(*h1, *d1);
     a0 = std::make_unique<net::NetAccess>(*h0);

@@ -3,18 +3,18 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace padico::drv {
 
-GmCosts gm_costs() { return GmCosts{}; }
+namespace {
+constexpr GmCosts kCosts = gm_costs();
+}  // namespace
 
 SanDriver::SanDriver(core::Host& host, simnet::Fabric& fabric,
-                     simnet::NetId net, GmCosts costs, std::string name)
-    : host_(&host),
-      net_(&fabric.network(net)),
-      costs_(costs),
-      name_(std::move(name)) {
+                     simnet::NetId net)
+    : host_(&host), net_(&fabric.network(net)) {
   // GM-style drivers assume the SAN hardware is reliable and in-order;
   // the layers above (MadIO header pairing, rendezvous) depend on it.
   // Lossy paths belong to the IP drivers and, later, VRP.
@@ -51,7 +51,7 @@ void SanDriver::send(core::NodeId dst, core::Bytes frame) {
 }
 
 bool SanDriver::start(core::NodeId dst, Pending& msg) {
-  if (msg.frame.size() - kFrameHeader > costs_.eager_threshold) {
+  if (msg.frame.size() - kFrameHeader > kCosts.eager_threshold) {
     // Rendezvous: ask first; the message, and every later one to
     // `dst`, waits for the ACK so nothing overtakes the large one.
     ++rendezvous_sent_;
@@ -87,9 +87,9 @@ void SanDriver::emit(core::NodeId dst, FrameType type, std::uint32_t seq,
   // back-to-back small sends pay per-message cost additively.
   core::Engine& eng = host_->engine();
   const core::Duration cost =
-      costs_.per_message +
+      kCosts.per_message +
       static_cast<core::Duration>(
-          std::llround(costs_.per_byte_ns * static_cast<double>(frame.size())));
+          std::llround(kCosts.per_byte_ns * static_cast<double>(frame.size())));
   cpu_busy_until_ = std::max(cpu_busy_until_, eng.now()) + cost;
   eng.schedule_at(cpu_busy_until_,
                   [this, dst, frame = std::move(frame)]() mutable {

@@ -1,15 +1,15 @@
 // SanDriver: a GM-like user-level SAN access driver (the layer plain
 // Madeleine sits on for Myrinet in the paper's stack).
 //
-// Cost model (`GmCosts`, stock profile `gm_costs()`): every injected
-// message occupies the host CPU for a fixed per-message cost plus a
-// per-byte copy cost before it reaches the NIC — the dominant term of
-// small-message latency on a real SAN.  Messages above the eager
-// threshold switch to a rendezvous: a REQ control frame travels to the
-// receiver, the receiver answers ACK, and only then does the payload
-// transmit (GM's receiver-paced large-message protocol).  Costs are
-// charged on the sending host only; the wire itself is timed by the
-// simnet layer underneath.
+// Cost model (`GmCosts`; every driver charges the stock profile
+// `gm_costs()`): every injected message occupies the host CPU for a
+// fixed per-message cost plus a per-byte copy cost before it reaches
+// the NIC — the dominant term of small-message latency on a real SAN.
+// Messages above the eager threshold switch to a rendezvous: a REQ
+// control frame travels to the receiver, the receiver answers ACK, and
+// only then does the payload transmit (GM's receiver-paced
+// large-message protocol).  Costs are charged on the sending host
+// only; the wire itself is timed by the simnet layer underneath.
 //
 // Ordering: messages to one destination are injected strictly in post
 // order — a rendezvous in progress stalls the sends behind it — so the
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 #include <unordered_map>
 
 #include "core/host.hpp"
@@ -52,8 +51,8 @@ struct GmCosts {
   std::size_t eager_threshold = 32 * 1024;
 };
 
-/// The stock GM-like profile used for the Myrinet-2000 attachment.
-GmCosts gm_costs();
+/// The stock GM-like profile: every SanDriver charges it.
+constexpr GmCosts gm_costs() { return {}; }
 
 class SanDriver {
  public:
@@ -64,14 +63,11 @@ class SanDriver {
   static constexpr std::size_t kFrameHeader = 8;
 
   /// Registers itself as the receiver for `host.id()` on network `net`.
-  SanDriver(core::Host& host, simnet::Fabric& fabric, simnet::NetId net,
-            GmCosts costs, std::string name);
+  SanDriver(core::Host& host, simnet::Fabric& fabric, simnet::NetId net);
   SanDriver(const SanDriver&) = delete;
   SanDriver& operator=(const SanDriver&) = delete;
   ~SanDriver();
 
-  const std::string& name() const noexcept { return name_; }
-  const GmCosts& costs() const noexcept { return costs_; }
   core::Host& host() const noexcept { return *host_; }
   simnet::Network& network() const noexcept { return *net_; }
 
@@ -116,8 +112,6 @@ class SanDriver {
 
   core::Host* host_;
   simnet::Network* net_;
-  GmCosts costs_;
-  std::string name_;
   RecvFn recv_;
   // One entry per destination with a REQ outstanding: its front is the
   // message that REQ announced, the rest were posted behind it.

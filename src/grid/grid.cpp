@@ -28,7 +28,7 @@ struct Grid::SanStack {
 
   SanStack(core::Host& host, simnet::Fabric& fabric, simnet::NetId net,
            net::NetAccess& access, bool header_combining)
-      : san(host, fabric, net, drv::gm_costs(), "gm"),
+      : san(host, fabric, net),
         madeleine(host, san),
         io(access, madeleine, header_combining) {}
 };

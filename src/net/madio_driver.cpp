@@ -24,7 +24,7 @@ bool MadIODriver::reaches(core::NodeId node) const {
 }
 
 void MadIODriver::emit(core::NodeId dst, const wire::Header& h,
-                       core::ByteView payload) {
+                       core::ByteView payload, core::SimTime& /*horizon*/) {
   mad::PackHandle handle = io_->begin(MadIO::kVLinkTag, dst);
   handle.pack(wire::encode(h));
   if (!payload.empty()) {

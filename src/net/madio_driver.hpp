@@ -16,8 +16,9 @@
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN
 // stack) and installs the handler of kVLinkTag on it; the VLink owns
 // the driver itself.  A received frame arrives in the SAN message's
-// own buffer, which the link adopts (`take_buffer`, no copy).  Inherits FrameDriver's ordered connection books, so
-// link establishment order is bit-identical across runs.
+// own buffer, which the link adopts (`take_buffer`, no copy).  Inherits
+// FrameDriver's connection table; no frame is paced here (the SAN has
+// no per-stream cap), so emit() ignores the connection's horizon.
 #pragma once
 
 #include "net/madio.hpp"
@@ -35,7 +36,7 @@ class MadIODriver final : public vlink::FrameDriver {
 
  protected:
   void emit(core::NodeId dst, const vlink::wire::Header& h,
-            core::ByteView payload) override;
+            core::ByteView payload, core::SimTime& horizon) override;
 
  private:
   MadIO* io_;

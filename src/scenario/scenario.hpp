@@ -38,9 +38,9 @@
 #include "grid/grid.hpp"
 #include "middleware/personality.hpp"
 #include "obs/registry.hpp"
-#include "personalities/vio.hpp"
 #include "scenario/arrival.hpp"
 #include "scenario/spec.hpp"
+#include "vlink/link.hpp"
 
 namespace padico::scenario {
 
@@ -119,7 +119,7 @@ class Scenario {
   void fail_session(std::uint64_t id, const char* why);
   void retire_session(std::uint64_t id);
 
-  void on_accept(core::NodeId server, std::shared_ptr<vio::Socket> sock);
+  void on_accept(core::NodeId server, std::unique_ptr<vlink::Link> link);
   void on_server_ready(std::uint64_t conn_id);
   void send_reply(std::uint64_t conn_id, bool final_request);
 

@@ -11,12 +11,17 @@ namespace padico::vlink {
 
 class FrameDriver::FrameLink final : public Link {
  public:
-  FrameLink(FrameDriver& drv, core::NodeId peer, core::Port local_port,
-            core::Port remote_port, std::uint64_t conn_id)
-      : Link(peer, local_port, remote_port), drv_(&drv), conn_id_(conn_id) {}
+  using Entry = std::pair<const std::uint64_t, Conn>;
+
+  FrameLink(FrameDriver& drv, Entry& entry, core::NodeId peer,
+            core::Port local_port, core::Port remote_port)
+      : Link(peer, local_port, remote_port), drv_(&drv), entry_(&entry) {
+    entry.second.link = this;
+  }
 
   ~FrameLink() override {
-    if (drv_) drv_->forget(conn_id_);
+    // By a copy of the key: the entry's own key dies with the entry.
+    if (drv_) drv_->conns_.erase(std::uint64_t{entry_->first});
   }
 
   core::Bytes receive(core::Bytes frame, std::size_t offset) {
@@ -35,13 +40,13 @@ class FrameDriver::FrameLink final : public Link {
     drv_->host_->engine().tracer().instant_arg(
         obs::Cat::vlink, "vlink.tx", data.size(), drv_->host_->id());
     wire::Header h{wire::FrameType::data, local_port(), remote_port(),
-                   drv_->host_->id(), conn_id_};
-    drv_->emit(remote_node(), h, data);
+                   drv_->host_->id(), entry_->first};
+    drv_->emit(remote_node(), h, data, entry_->second.horizon);
   }
 
  private:
   FrameDriver* drv_;
-  std::uint64_t conn_id_;
+  Entry* entry_;  // this connection's conns_ entry; dangles once detached
 };
 
 // ---------------------------------------------------------------------------
@@ -59,7 +64,9 @@ FrameDriver::FrameDriver(core::Host& host, std::string name,
 }
 
 FrameDriver::~FrameDriver() {
-  for (auto& [conn, link] : links_) link->detach();
+  for (auto& [id, conn] : conns_) {
+    if (conn.link) conn.link->detach();
+  }
 }
 
 void FrameDriver::listen(core::Port port, AcceptFn on_accept) {
@@ -74,7 +81,9 @@ void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   // per-driver counter below.
   const std::uint64_t conn_id =
       (static_cast<std::uint64_t>(host_->id()) << 40) | next_conn_++;
-  connecting_[conn_id] = std::move(on_connect);
+  // The connect frame is paced on the entry the link will use.
+  Conn& conn = conns_[conn_id];
+  conn.on_connect = std::move(on_connect);
   // The ephemeral counter wraps WITHIN [49152, 65535]: million-session
   // workloads must never walk it into the listener port range (data
   // frames demux by conn_id, so reusing a source port is benign).
@@ -84,7 +93,7 @@ void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
                         : static_cast<core::Port>(next_ephemeral_ + 1);
   wire::Header h{wire::FrameType::connect, src_port, remote.port,
                  host_->id(), conn_id};
-  emit(remote.node, h, {});
+  emit(remote.node, h, {}, conn.horizon);
 }
 
 void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
@@ -104,46 +113,53 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
 
   switch (h.type) {
     case wire::FrameType::connect: {
-      auto lit = listeners_.find(h.dst_port);
-      if (lit == listeners_.end()) {
-        wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
-                       host_->id(), h.conn_id};
-        emit(src, r, {});
+      auto [it, fresh] = conns_.try_emplace(h.conn_id);
+      if (!fresh) {
+        ++malformed_;  // a repeat must not re-bind a live connection
         break;
       }
-      auto link = std::make_unique<FrameLink>(*this, src, h.dst_port,
-                                              h.src_port, h.conn_id);
-      links_[h.conn_id] = link.get();
+      auto lit = listeners_.find(h.dst_port);
+      if (lit == listeners_.end()) {
+        // Paced on nothing: no connection outlives a refuse.
+        conns_.erase(it);
+        core::SimTime unpaced = 0;
+        wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
+                       host_->id(), h.conn_id};
+        emit(src, r, {}, unpaced);
+        break;
+      }
+      auto link = std::make_unique<FrameLink>(*this, *it, src, h.dst_port,
+                                              h.src_port);
+      // The accept frame is paced on the link's own entry: writes made
+      // inside the accept callback queue behind it.
       wire::Header a{wire::FrameType::accept, h.dst_port, h.src_port,
                      host_->id(), h.conn_id};
-      emit(src, a, {});
+      emit(src, a, {}, it->second.horizon);
       lit->second(std::move(link));
       break;
     }
     case wire::FrameType::accept: {
-      auto cit = connecting_.find(h.conn_id);
-      if (cit == connecting_.end()) break;
-      ConnectFn cb = std::move(cit->second);
-      connecting_.erase(cit);
-      std::unique_ptr<Link> link = std::make_unique<FrameLink>(
-          *this, src, h.dst_port, h.src_port, h.conn_id);
-      links_[h.conn_id] = static_cast<FrameLink*>(link.get());
+      auto it = conns_.find(h.conn_id);
+      if (it == conns_.end() || it->second.link) break;
+      ConnectFn cb = std::move(it->second.on_connect);
+      std::unique_ptr<Link> link =
+          std::make_unique<FrameLink>(*this, *it, src, h.dst_port, h.src_port);
       cb(std::move(link));
       break;
     }
     case wire::FrameType::refuse: {
-      auto cit = connecting_.find(h.conn_id);
-      if (cit == connecting_.end()) break;
-      ConnectFn cb = std::move(cit->second);
-      connecting_.erase(cit);
+      auto it = conns_.find(h.conn_id);
+      if (it == conns_.end() || it->second.link) break;
+      ConnectFn cb = std::move(it->second.on_connect);
+      conns_.erase(it);
       cb(core::Result<std::unique_ptr<Link>>::err(
           core::Status::refused,
           name() + ": connection refused by node " + std::to_string(src)));
       break;
     }
     case wire::FrameType::data: {
-      auto it = links_.find(h.conn_id);
-      if (it == links_.end()) break;  // stale connection; drop
+      auto it = conns_.find(h.conn_id);
+      if (it == conns_.end() || !it->second.link) break;  // stale; drop
       const std::size_t payload = offset + wire::kHeaderSize;
       obs_rx_frames_->add();
       obs_rx_bytes_->add(frame.size() - payload);
@@ -153,7 +169,7 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
                        host_->id());
       // The link takes the buffer; what comes back is storage no view
       // points into any more (see Link::deliver).
-      frame = it->second->receive(std::move(frame), payload);
+      frame = it->second.link->receive(std::move(frame), payload);
       break;
     }
     case wire::FrameType::header:
@@ -162,11 +178,6 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
       break;
   }
   if (pool) pool->release(std::move(frame));
-}
-
-void FrameDriver::forget(std::uint64_t conn_id) {
-  links_.erase(conn_id);
-  on_connection_closed(conn_id);
 }
 
 }  // namespace padico::vlink

@@ -30,7 +30,7 @@ core::Duration NetDriver::stream_time(std::size_t bytes) const {
 }
 
 void NetDriver::emit(core::NodeId dst, const wire::Header& h,
-                     core::ByteView payload) {
+                     core::ByteView payload, core::SimTime& horizon) {
   // Frames come out of the engine's recycled-buffer pool; the
   // receiving side recycles each frame's storage (see handle_frame),
   // so steady-state frame traffic allocates nothing.
@@ -45,9 +45,8 @@ void NetDriver::emit(core::NodeId dst, const wire::Header& h,
   // connection the release instants are monotone and same-instant
   // events run FIFO, so frame order within a stream is preserved.
   core::Engine& engine = host().engine();
-  core::SimTime& busy = stream_busy_[h.conn_id];
-  const core::SimTime start = std::max(engine.now(), busy);
-  busy = start + stream_time(frame.size());
+  const core::SimTime start = std::max(engine.now(), horizon);
+  horizon = start + stream_time(frame.size());
   if (start == engine.now()) {
     net_->send(host().id(), dst, std::move(frame));
     return;
@@ -60,13 +59,6 @@ void NetDriver::emit(core::NodeId dst, const wire::Header& h,
                              f = std::move(frame)]() mutable {
     net->send(src, dst, std::move(f));
   });
-}
-
-void NetDriver::on_connection_closed(std::uint64_t conn_id) {
-  // Pacing buckets only exist on per-stream-capped profiles; the
-  // common teardown must not pay a tree probe for an empty map.
-  if (stream_busy_.empty()) return;
-  stream_busy_.erase(conn_id);
 }
 
 void NetDriver::on_message(core::NodeId src, core::Bytes msg) {

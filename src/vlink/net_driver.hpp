@@ -13,7 +13,10 @@
 // before they reach the shared NIC FIFO — so one socket cannot fill
 // the pipe, several in parallel can, and the "pstream" driver's gain
 // is measured rather than asserted.  Pacing is per (sender,
-// connection); the bucket is dropped when the connection's link dies.
+// connection): each frame advances the horizon FrameDriver keeps in
+// the connection's table entry, control frames included (the connect
+// and accept frames on the entry the link then writes through, a
+// refuse on none), and the horizon dies with the entry.
 //
 // An optional dispatch hook defers frame handling to an external
 // scheduler: the Grid installs the node's NetAccess arbitration here so
@@ -22,7 +25,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 
 #include "simnet/network.hpp"
 #include "vlink/frame_driver.hpp"
@@ -49,9 +51,8 @@ class NetDriver final : public FrameDriver {
   simnet::Network& network() const noexcept { return *net_; }
 
  protected:
-  void emit(core::NodeId dst, const wire::Header& h,
-            core::ByteView payload) override;
-  void on_connection_closed(std::uint64_t conn_id) override;
+  void emit(core::NodeId dst, const wire::Header& h, core::ByteView payload,
+            core::SimTime& horizon) override;
 
  private:
   void on_message(core::NodeId src, core::Bytes msg);
@@ -62,10 +63,6 @@ class NetDriver final : public FrameDriver {
 
   simnet::Network* net_;
   DispatchFn dispatch_;
-  // Per-connection pacing horizon; only populated on profiles with a
-  // per-stream cap.  Refused connects can strand an entry until the
-  // driver dies — one pair of words each, accepted.
-  std::unordered_map<std::uint64_t, core::SimTime> stream_busy_;
 };
 
 }  // namespace padico::vlink

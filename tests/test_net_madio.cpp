@@ -49,10 +49,8 @@ struct Stack {
     fabric.attach(san, 1);
     h0 = std::make_unique<pc::Host>(engine, 0);
     h1 = std::make_unique<pc::Host>(engine, 1);
-    d0 = std::make_unique<dr::SanDriver>(*h0, fabric, san, dr::gm_costs(),
-                                         "gm");
-    d1 = std::make_unique<dr::SanDriver>(*h1, fabric, san, dr::gm_costs(),
-                                         "gm");
+    d0 = std::make_unique<dr::SanDriver>(*h0, fabric, san);
+    d1 = std::make_unique<dr::SanDriver>(*h1, fabric, san);
     m0 = std::make_unique<md::Madeleine>(*h0, *d0);
     m1 = std::make_unique<md::Madeleine>(*h1, *d1);
     a0 = std::make_unique<net::NetAccess>(*h0);
@@ -91,8 +89,8 @@ struct SanNodes {
     for (pc::NodeId i = 0; i < n; ++i) {
       fabric.attach(san, i);
       hosts.push_back(std::make_unique<pc::Host>(engine, i));
-      drivers.push_back(std::make_unique<dr::SanDriver>(
-          *hosts.back(), fabric, san, dr::gm_costs(), "gm"));
+      drivers.push_back(
+          std::make_unique<dr::SanDriver>(*hosts.back(), fabric, san));
     }
   }
 
@@ -283,8 +281,7 @@ TEST(SanDriver, RefusesLossyNetworks) {
       fabric.add_network(sn::profiles::transcontinental_internet(0.05));
   fabric.attach(net, 0);
   pc::Host host(engine, 0);
-  EXPECT_THROW(dr::SanDriver(host, fabric, net, dr::gm_costs(), "gm"),
-               std::invalid_argument);
+  EXPECT_THROW(dr::SanDriver(host, fabric, net), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -84,6 +84,20 @@ std::string text(pc::ByteView v) {
   return std::string(v.begin(), v.end());
 }
 
+vl::FrameDriver& frame_driver(vl::VLink& v, const std::string& method) {
+  return *static_cast<vl::FrameDriver*>(v.driver(method));
+}
+
+/// Put a hand-made control frame on the wire, as a peer (or a forger)
+/// would: `type` for connection `conn_id`, from `src` to `dst`.
+void inject(Rig& rig, vl::wire::FrameType type, pc::NodeId src,
+            pc::NodeId dst, pc::Port src_port, pc::Port dst_port,
+            std::uint64_t conn_id) {
+  const vl::wire::Header h{type, src_port, dst_port, src, conn_id};
+  ASSERT_TRUE(
+      rig.fabric.network(rig.net_id).send(src, dst, vl::wire::encode(h)).ok());
+}
+
 }  // namespace
 
 TEST(VLink, ConnectEstablishesBothEnds) {
@@ -95,17 +109,116 @@ TEST(VLink, ConnectEstablishesBothEnds) {
   EXPECT_EQ(b->local_port(), 4000);
   // Connection setup costs one round trip of virtual time.
   EXPECT_GT(rig.engine.now(), 0u);
+  // One table entry per end while the pair lives, none once it is gone.
+  vl::FrameDriver& d0 = frame_driver(*rig.v0, "madio");
+  vl::FrameDriver& d1 = frame_driver(*rig.v1, "madio");
+  EXPECT_EQ(d0.connections(), 1u);
+  EXPECT_EQ(d1.connections(), 1u);
+  a.reset();
+  b.reset();
+  EXPECT_EQ(d0.connections(), 0u);
+  EXPECT_EQ(d1.connections(), 0u);
 }
 
 TEST(VLink, ConnectRefusedWithoutListener) {
-  Rig rig;
-  std::optional<pc::Status> status;
-  rig.v0->connect("madio", {1, 9999},
+  // Also on a per-stream-capped WAN, where every frame is paced on its
+  // connection's entry: a refusal leaves no entry at either end.
+  for (const sn::LinkModel& model :
+       {sn::profiles::myrinet2000(), sn::profiles::vthd_wan()}) {
+    Rig rig(model);
+    std::optional<pc::Status> status;
+    rig.v0->connect(model.driver, {1, 9999},
+                    [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+                      status = r.status();
+                    });
+    rig.engine.run_until_idle();
+    EXPECT_EQ(status, pc::Status::refused) << model.name;
+    EXPECT_EQ(frame_driver(*rig.v0, model.driver).connections(), 0u);
+    EXPECT_EQ(frame_driver(*rig.v1, model.driver).connections(), 0u);
+  }
+}
+
+TEST(VLink, AcceptorWriteIsPacedBehindTheAcceptFrame) {
+  // On a per-stream-capped WAN the accept frame and the acceptor's
+  // writes share one pacing horizon: a write made inside the accept
+  // callback leaves only once the accept frame has cleared the stream.
+  Rig rig(sn::profiles::vthd_wan());
+  std::unique_ptr<vl::Link> a, b;
+  rig.v1->driver("sysio")->listen(4950, [&](std::unique_ptr<vl::Link> l) {
+    b = std::move(l);
+    b->post_write(pc::view_of("23 bytes from acceptor!"));
+  });
+  std::optional<pc::SimTime> arrived;
+  rig.v0->connect("sysio", {1, 4950},
                   [&](pc::Result<std::unique_ptr<vl::Link>> r) {
-                    status = r.status();
+                    ASSERT_TRUE(r.ok());
+                    a = std::move(*r);
+                    a->set_ready_handler([&] {
+                      if (!arrived) arrived = rig.engine.now();
+                    });
                   });
   rig.engine.run_until_idle();
-  EXPECT_EQ(status, pc::Status::refused);
+  ASSERT_TRUE(arrived);
+  EXPECT_EQ(a->available(), 23u);
+  EXPECT_EQ(*arrived, 16'023'731u);
+}
+
+TEST(VLink, RepeatedConnectFrameCannotHijackALiveConnection) {
+  Rig rig;
+  int accepted = 0;
+  std::unique_ptr<vl::Link> a, b;
+  rig.v1->driver("madio")->listen(4960, [&](std::unique_ptr<vl::Link> l) {
+    ++accepted;
+    if (!b) b = std::move(l);
+  });
+  rig.v0->connect("madio", {1, 4960},
+                  [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+                    ASSERT_TRUE(r.ok());
+                    a = std::move(*r);
+                  });
+  rig.engine.run_until_idle();
+  ASSERT_TRUE(a && b);
+  // Node 0's first connection id is (0 << 40) | 1: easy to guess.  A
+  // forged connect frame carrying it is dropped and counted.
+  vl::FrameDriver& d1 = frame_driver(*rig.v1, "madio");
+  inject(rig, vl::wire::FrameType::connect, 0, 1, 49152, 4960, 1);
+  rig.engine.run_until_idle();
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(d1.malformed_frames(), 1u);
+  EXPECT_EQ(d1.connections(), 1u);
+  // The live link still receives.
+  a->post_write(pc::view_of("still mine"));
+  rig.engine.run_until_idle();
+  EXPECT_EQ(text(b->read_available()), "still mine");
+}
+
+TEST(VLink, StrayAcceptOrRefuseForALiveIdChangesNothing) {
+  Rig rig;
+  int connected = 0;
+  std::unique_ptr<vl::Link> a, b;
+  rig.v1->driver("madio")->listen(
+      4970, [&](std::unique_ptr<vl::Link> l) { b = std::move(l); });
+  rig.v0->connect("madio", {1, 4970},
+                  [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+                    ++connected;
+                    if (r.ok()) a = std::move(*r);
+                  });
+  rig.engine.run_until_idle();
+  ASSERT_TRUE(a && b);
+  for (const vl::wire::FrameType type :
+       {vl::wire::FrameType::accept, vl::wire::FrameType::refuse}) {
+    inject(rig, type, 1, 0, 4970, 49152, 1);  // to the connector
+    inject(rig, type, 0, 1, 49152, 4970, 1);  // to the acceptor
+  }
+  rig.engine.run_until_idle();
+  EXPECT_EQ(connected, 1);
+  EXPECT_EQ(frame_driver(*rig.v0, "madio").connections(), 1u);
+  EXPECT_EQ(frame_driver(*rig.v1, "madio").connections(), 1u);
+  b->post_write(pc::view_of("pong"));
+  a->post_write(pc::view_of("ping"));
+  rig.engine.run_until_idle();
+  EXPECT_EQ(text(a->read_available()), "pong");
+  EXPECT_EQ(text(b->read_available()), "ping");
 }
 
 TEST(VLink, ConnectUnknownMethodFails) {
