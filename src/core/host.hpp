@@ -1,36 +1,26 @@
 // Per-node execution context.
 //
-// A Host ties a logical node to the shared virtual-time Engine and
-// carries node-local services (name, deterministic per-node RNG).  It
+// A Host ties a logical node id to the shared virtual-time Engine.  It
 // is the first constructor argument of every per-node layer (drivers,
 // Madeleine, NetAccess, middleware), mirroring PadicoTM's per-process
 // core module.
 #pragma once
 
-#include <string>
-
 #include "core/engine.hpp"
-#include "core/rng.hpp"
 #include "core/time.hpp"
 
 namespace padico::core {
 
 class Host {
  public:
-  Host(Engine& engine, NodeId id, std::string name = {});
+  Host(Engine& engine, NodeId id) : engine_(&engine), id_(id) {}
 
   Engine& engine() const noexcept { return *engine_; }
   NodeId id() const noexcept { return id_; }
-  const std::string& name() const noexcept { return name_; }
-
-  /// Node-local deterministic RNG (seeded from the node id).
-  Rng& rng() noexcept { return rng_; }
 
  private:
   Engine* engine_;
   NodeId id_;
-  std::string name_;
-  Rng rng_;
 };
 
 }  // namespace padico::core

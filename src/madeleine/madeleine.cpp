@@ -15,13 +15,12 @@ Madeleine::Madeleine(core::Host& host, drv::SanDriver& driver)
 }
 
 Channel* Madeleine::establish(std::uint8_t id) {
-  auto [it, inserted] =
-      channels_.try_emplace(id, std::make_unique<Channel>(Channel{id}));
+  auto [it, inserted] = channels_.try_emplace(id, Slot{Channel{id}, {}});
   if (!inserted) {
     throw std::invalid_argument("Madeleine: channel " + std::to_string(id) +
                                 " already open");
   }
-  return it->second.get();
+  return &it->second.channel;
 }
 
 Channel* Madeleine::open_channel() {
@@ -40,12 +39,11 @@ Channel* Madeleine::open_channel() {
 Channel* Madeleine::open_channel_at(std::uint8_t id) { return establish(id); }
 
 void Madeleine::close_channel(Channel& channel) {
-  handlers_.erase(channel.id);
   channels_.erase(channel.id);
 }
 
 void Madeleine::set_recv_handler(Channel& channel, RecvHandler handler) {
-  handlers_[channel.id] = std::move(handler);
+  channels_.at(channel.id).handler = std::move(handler);
 }
 
 PackHandle Madeleine::begin_packing(Channel& channel, core::NodeId dst) {
@@ -87,14 +85,14 @@ void Madeleine::on_driver_message(core::NodeId src, core::Bytes frame,
     ++malformed_;
     return;
   }
-  auto it = handlers_.find(msg[1]);
-  if (it == handlers_.end() || !it->second) {
+  auto it = channels_.find(msg[1]);
+  if (it == channels_.end() || !it->second.handler) {
     ++malformed_;  // message for a channel nobody listens on
     return;
   }
   ++received_;
   UnpackHandle handle(std::move(frame), offset + kHeaderSize);
-  it->second(src, handle);
+  it->second.handler(src, handle);
 }
 
 }  // namespace padico::mad

@@ -26,16 +26,16 @@
 // Units / ownership / determinism: all timing below this API is
 // virtual nanoseconds charged by the SAN driver and simnet (this layer
 // adds no time of its own).  Channels are owned by their Madeleine and
-// live until it dies; PackHandle borrows caller storage for
-// later/cheaper segments until end_packing; UnpackHandle owns its
-// buffer.  All routing state lives in ordered maps and handlers run
-// inline from driver delivery, so traces are bit-identical across runs.
+// live until closed or until it dies; PackHandle borrows caller
+// storage for later/cheaper segments until end_packing; UnpackHandle
+// owns its buffer.  All routing state lives in one ordered map (each
+// open channel with its handler) and handlers run inline from driver
+// delivery, so traces are bit-identical across runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -220,10 +220,16 @@ class Madeleine {
   void on_driver_message(core::NodeId src, core::Bytes frame,
                          std::size_t offset);
 
+  // One entry per open channel.  Map nodes never move, so the Channel
+  // pointers handed out stay valid until close_channel.
+  struct Slot {
+    Channel channel;
+    RecvHandler handler;
+  };
+
   core::Host* host_;
   drv::SanDriver* drv_;
-  std::map<std::uint8_t, std::unique_ptr<Channel>> channels_;
-  std::map<std::uint8_t, RecvHandler> handlers_;
+  std::map<std::uint8_t, Slot> channels_;
   std::uint64_t received_ = 0;
   std::uint64_t malformed_ = 0;
 };

@@ -41,7 +41,9 @@ class CdrOut {
 
   bool copying() const noexcept { return copying_; }
 
-  void put_u8(std::uint8_t v) { pending_.push_back(v); }
+  // Every scalar goes through put_raw: a push_back here followed by
+  // put_raw's insert draws a false -Wstringop-overread from GCC 12 -O3.
+  void put_u8(std::uint8_t v) { put_raw(&v, sizeof(v)); }
 
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
 

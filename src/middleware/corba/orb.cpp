@@ -129,8 +129,10 @@ void Orb::deactivate(const std::string& key) { objects_.erase(key); }
 void Orb::start() {
   if (started_) return;
   started_ = true;
-  vio::listen(*vlink_, port_, [this](std::shared_ptr<vio::Socket> sock) {
-    server_conns_.push_back(ServerConn{sock, server_loop(sock)});
+  vlink_->listen(port_, [this](std::unique_ptr<vlink::Link> link) {
+    ServerConn& sc = server_conns_.emplace_back();
+    sc.link = std::move(link);
+    sc.reader = server_loop(*sc.link);
   });
 }
 
@@ -138,28 +140,31 @@ ObjectRef Orb::ref_of(const std::string& key) const {
   return ObjectRef{host_->id(), port_, key};
 }
 
-Orb::ClientConn& Orb::ensure_conn(core::NodeId node, core::Port port) {
+void Orb::ensure_conn(core::NodeId node, core::Port port) {
   ClientConn& c = conns_[{node, port}];
-  if (!c.sock && !c.connecting) {
-    c.connecting = true;
-    c.opener = open_conn(node, port);
+  if (c.link || c.connecting) return;
+  c.connecting = true;
+  // conns_ never erases, so `c` outlives the connect whenever the Orb
+  // does.
+  auto on_connect = [this, alive = alive_, &c](
+                        core::Result<std::unique_ptr<vlink::Link>> r) {
+    if (!*alive) return;
+    c.connecting = false;
+    auto queued = std::move(c.queued);
+    c.queued.clear();
+    if (!r.ok()) {
+      for (auto& [id, frame] : queued) fail_request(id, r.error().status);
+      return;
+    }
+    c.link = std::move(*r);
+    c.reader = client_loop(*c.link);
+    for (auto& [id, frame] : queued) c.link->post_write(core::view_of(frame));
+  };
+  if (method_.empty()) {
+    vlink_->connect({node, port}, std::move(on_connect));
+  } else {
+    vlink_->connect(method_, {node, port}, std::move(on_connect));
   }
-  return c;
-}
-
-core::Task Orb::open_conn(core::NodeId node, core::Port port) {
-  vio::ConnectResult r = co_await vio::connect(*vlink_, method_, {node, port});
-  ClientConn& c = conns_[{node, port}];
-  c.connecting = false;
-  auto queued = std::move(c.queued);
-  c.queued.clear();
-  if (!r.ok()) {
-    for (auto& [id, frame] : queued) fail_request(id, r.error().status);
-    co_return;
-  }
-  c.sock = std::move(*r);
-  c.reader = client_loop(c.sock);
-  for (auto& [id, frame] : queued) c.sock->write(core::view_of(frame));
 }
 
 void Orb::fail_request(std::uint32_t id, core::Status status) {
@@ -200,11 +205,11 @@ core::Completion<Reply> Orb::invoke(const ObjectRef& ref,
                            port = ref.port, id, state] {
     if (!*alive) return;
     ClientConn& c = conns_[{node, port}];
-    if (c.sock) {
-      c.sock->write(state->body.iov());
+    if (c.link) {
+      c.link->post_write(state->body.iov());
     } else if (c.connecting) {
       // Keep the frame (flattened: the connection outlives the state's
-      // borrowed views) until the opener flushes it.
+      // borrowed views) until the connect callback flushes it.
       c.queued.emplace_back(id, state->body.flatten());
     } else {
       fail_request(id, core::Status::refused);
@@ -213,14 +218,14 @@ core::Completion<Reply> Orb::invoke(const ObjectRef& ref,
   return done;
 }
 
-core::Task Orb::client_loop(std::shared_ptr<vio::Socket> sock) {
+core::Task Orb::client_loop(vlink::Link& link) {
   for (;;) {
-    core::Bytes hdr = co_await sock->read_n(kFrameHeader);
+    core::Bytes hdr = co_await link.read_n(kFrameHeader);
     CdrIn h(core::view_of(hdr));
     const std::uint32_t len = h.get_u32();
     const std::uint8_t kind = h.get_u8();
     const std::uint32_t id = h.get_u32();
-    core::Bytes body = co_await sock->read_n(len);
+    core::Bytes body = co_await link.read_n(len);
     // Unmarshalling the reply is receive-side CPU.
     co_await sleep_until(engine(), charge_recv(kFrameHeader + len));
     if (kind != kReply) {
@@ -254,14 +259,14 @@ core::Task Orb::client_loop(std::shared_ptr<vio::Socket> sock) {
   }
 }
 
-core::Task Orb::server_loop(std::shared_ptr<vio::Socket> sock) {
+core::Task Orb::server_loop(vlink::Link& link) {
   for (;;) {
-    core::Bytes hdr = co_await sock->read_n(kFrameHeader);
+    core::Bytes hdr = co_await link.read_n(kFrameHeader);
     CdrIn h(core::view_of(hdr));
     const std::uint32_t len = h.get_u32();
     const std::uint8_t kind = h.get_u8();
     const std::uint32_t id = h.get_u32();
-    core::Bytes body = co_await sock->read_n(len);
+    core::Bytes body = co_await link.read_n(len);
     // Demarshalling the request (the copying ORBs pay the byte pass
     // again here — the receive half of their Figure 3 cap).
     co_await sleep_until(engine(), charge_recv(kFrameHeader + len));
@@ -305,7 +310,7 @@ core::Task Orb::server_loop(std::shared_ptr<vio::Socket> sock) {
     // Marshalling the reply is send-side CPU; the reply's storage
     // (`reply`, `out`) lives in this frame until the write below.
     co_await sleep_until(engine(), charge_send(kFrameHeader + reply_size));
-    sock->write(out.iov());
+    link.post_write(out.iov());
   }
 }
 

@@ -1,14 +1,15 @@
 // padico::orb — the CORBA personality: a GIOP-flavoured
-// request/reply ORB over VIO virtual sockets.
+// request/reply ORB over vlink links.
 //
 // One Orb instance is one ORB runtime on one node (the paper runs
 // omniORB, Mico and ORBacus side by side over PadicoTM; each maps to
 // an `OrbProfile` here).  Servers `activate` named objects and
 // `start()` accepting; clients `invoke` object references — requests
 // pipeline freely per connection, replies match on request id.
-// Connections open lazily through the node's chooser (VIO), so the
-// same ORB code runs over MadIO in the cluster and plain sockets
-// across a WAN, which is the paper's whole point.
+// Connections open lazily through the node's chooser (VLink::connect
+// without a method), so the same ORB code runs over MadIO in the
+// cluster and plain sockets across a WAN, which is the paper's whole
+// point.
 //
 // Where the Table 1 / Figure 3 numbers come from: every request and
 // reply is CDR-marshalled (middleware/corba/cdr.hpp) and charged to
@@ -25,9 +26,10 @@
 // arg encoding:  u8 kind (Any::Kind), then octets / string / u64.
 //
 // Ownership / determinism: an Orb borrows its Host and VLink (the
-// grid Node owns both) and owns its sockets, reader coroutines and
-// pending-reply book.  Scheduled sends hold a liveness token, so an
-// Orb may die with requests in flight.  All books are ordered maps.
+// grid Node owns both) and owns its links, reader coroutines and
+// pending-reply book.  Scheduled sends and connect callbacks hold a
+// liveness token, so an Orb may die with requests or connects in
+// flight.  All books are ordered maps.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,6 @@
 #include "core/result.hpp"
 #include "core/task.hpp"
 #include "middleware/personality.hpp"
-#include "personalities/vio.hpp"
 #include "vlink/vlink.hpp"
 
 namespace padico::orb {
@@ -152,24 +153,23 @@ class Orb final : public middleware::Personality {
   static constexpr std::uint8_t kRequest = 0;
   static constexpr std::uint8_t kReply = 1;
 
+  // Each reader is declared after its link, so it dies first.
   struct ClientConn {
-    std::shared_ptr<vio::Socket> sock;
+    std::unique_ptr<vlink::Link> link;
     bool connecting = false;
     // Frames marshalled before the connection opened, in order.
     std::vector<std::pair<std::uint32_t, core::Bytes>> queued;
-    core::Task opener;
     core::Task reader;
   };
 
   struct ServerConn {
-    std::shared_ptr<vio::Socket> sock;
+    std::unique_ptr<vlink::Link> link;
     core::Task reader;
   };
 
-  ClientConn& ensure_conn(core::NodeId node, core::Port port);
-  core::Task open_conn(core::NodeId node, core::Port port);
-  core::Task client_loop(std::shared_ptr<vio::Socket> sock);
-  core::Task server_loop(std::shared_ptr<vio::Socket> sock);
+  void ensure_conn(core::NodeId node, core::Port port);
+  core::Task client_loop(vlink::Link& link);
+  core::Task server_loop(vlink::Link& link);
   void fail_request(std::uint32_t id, core::Status status);
 
   core::Host* host_;

@@ -8,9 +8,9 @@
 // between Circuit's 8.4 us and MPICH's 12.06 us in Table 1).  Across
 // a WAN there is no common SAN, so the device falls back to whatever
 // stream the chooser picked (plain sysio or parallel streams): the
-// second constructor runs the same communicator over a connected VIO
-// socket — the §5 configuration, where MPI gets the same ~9 MB/s as
-// every other middleware on one TCP stream.
+// second constructor runs the same communicator over a connected
+// vlink::Link — the §5 configuration, where MPI gets the same
+// ~9 MB/s as every other middleware on one TCP stream.
 //
 // Message wire shape on the circuit: a 16-byte envelope
 // [u32 tag][u32 reserved][u64 seq] then the payload; seq is a
@@ -23,10 +23,11 @@
 // so a Comm reserves nothing on the node's MadIO.
 //
 // Ownership / determinism: a Comm borrows its circuit endpoint (the
-// caller owns the CircuitSet; destroy the Comm first).  isend copies
-// the payload at call time (MPI buffer-reuse semantics) and the send
-// is scheduled at the cost clock's completion instant, so traces stay
-// bit-identical across runs.
+// caller owns the CircuitSet; destroy the Comm first) or owns its
+// stream link.  isend copies the payload at call time (MPI
+// buffer-reuse semantics) and the send is scheduled at the cost
+// clock's completion instant, so traces stay bit-identical across
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@
 #include "madeleine/circuit.hpp"
 #include "middleware/personality.hpp"
 #include "net/seqbook.hpp"
-#include "personalities/vio.hpp"
+#include "vlink/link.hpp"
 
 namespace padico::mpi {
 
@@ -58,7 +59,7 @@ class Comm final : public middleware::Personality {
 
   /// A two-rank communicator over a connected stream (the WAN
   /// fallback): this end is `rank` (0 or 1), the peer is the other.
-  Comm(std::shared_ptr<vio::Socket> stream, int rank, core::Engine& engine,
+  Comm(std::unique_ptr<vlink::Link> stream, int rank, core::Engine& engine,
        middleware::CostModel costs = mpich_costs());
 
   ~Comm();
@@ -109,7 +110,7 @@ class Comm final : public middleware::Personality {
   core::Task stream_reader();
 
   circuit::Circuit* ep_ = nullptr;
-  std::shared_ptr<vio::Socket> stream_;
+  std::unique_ptr<vlink::Link> stream_;
   int rank_;
   int size_;
   core::Task reader_;

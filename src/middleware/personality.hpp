@@ -3,9 +3,10 @@
 //
 // Every personality of the stack (MPI, CORBA ORBs, Java sockets, the
 // JVM runtime) sits on top of the core without registering with it:
-// it borrows the Engine and whatever transport it was built on (a
-// circuit endpoint, a VLink, a VIO socket).  What they all share is
-// a place to charge the CPU the personality itself burns per message
+// it borrows the Engine and whatever transport it was built on: a
+// circuit endpoint, or vlink::Links — the socket shape — opened
+// through the node's VLink and its chooser.  What they all share is a
+// place to charge the CPU the personality itself burns per message
 // (marshalling, copies, JNI crossings): `charge_send/charge_recv
 // (bytes)` run the per-message CPU/copy cost through a serializing
 // core::CostClock and return the virtual instant the work completes;

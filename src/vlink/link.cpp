@@ -91,9 +91,9 @@ void Link::drain() {
   while (!pending_.empty()) {
     if (available() < pending_.front().n) break;
     PendingRead req = std::move(pending_.front());
-    pending_.pop_front();
+    pending_.erase(pending_.begin());
     // complete() may resume a coroutine that immediately calls read_n
-    // or post_write again; the deque is in a consistent state here.
+    // or post_write again; the queue is in a consistent state here.
     req.completion.complete(take(req.n));
   }
 }

@@ -11,9 +11,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "core/bytes.hpp"
 #include "core/task.hpp"
@@ -140,7 +140,10 @@ class Link {
   core::Bytes rx_buf_;
   std::size_t rx_head_ = 0;
   bool eof_ = false;
-  std::deque<PendingRead> pending_;
+  // FIFO; a vector, not a deque, so an idle link allocates nothing
+  // (every reader in the tree awaits one read at a time, so erasing
+  // the front is cheap).
+  std::vector<PendingRead> pending_;
   std::function<void()> ready_handler_;
   std::function<void(core::ByteView)> datagram_handler_;
   std::uint64_t tx_frames_ = 0;

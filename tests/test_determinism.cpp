@@ -410,6 +410,23 @@ TEST(Determinism, PersonalityTrafficDigestBitIdenticalAcrossRuns) {
   EXPECT_EQ(personality_run(), personality_run());
 }
 
+TEST(Determinism, PersonalityTrafficMatchesRecording) {
+  // Recorded while the ORB still reached its links through a socket
+  // wrapper: holding the links directly must move no timestamp.  The
+  // trailing engine event count stays out of the fold, so removing an
+  // event that moves no instant needs no re-recording.
+  const std::vector<pc::SimTime> stamps = personality_run();
+  ASSERT_EQ(stamps.size(), 22u);  // 12 MPI + 8 ORB + final now + events
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  for (std::size_t i = 0; i + 1 < stamps.size(); ++i) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (stamps[i] >> (8 * b)) & 0xff;
+      digest *= 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(digest, 0x461d16570945a238ull) << std::hex << digest;
+}
+
 // --- Observability must not perturb the simulation -------------------------
 
 TEST(Determinism, CircuitRingUnchangedByTracing) {

@@ -1,6 +1,6 @@
 // The middleware personalities layer: the Personality base's CostModel
-// charging, the VIO socket shim, and the MPI / CORBA / Java-socket /
-// SOAP personalities end to end on the paper testbed.
+// charging, and the MPI / CORBA / Java-socket / SOAP personalities end
+// to end on the paper testbed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,13 +14,15 @@
 #include "middleware/mpi/mpi.hpp"
 #include "middleware/personality.hpp"
 #include "middleware/soap/xml.hpp"
-#include "personalities/vio.hpp"
+#include "selector/selector.hpp"
 #include "simnet/simnet.hpp"
+#include "vlink/frame_driver.hpp"
 
 namespace pc = padico::core;
 namespace sn = padico::simnet;
 namespace gr = padico::grid;
 namespace mw = padico::middleware;
+namespace vl = padico::vlink;
 
 namespace {
 
@@ -34,6 +36,8 @@ void build_testbed(gr::Grid& grid, int nodes = 2) {
   }
   grid.build();
 }
+
+std::string text(const pc::Bytes& b) { return std::string(b.begin(), b.end()); }
 
 // --- Personality base: cost charging ----------------------------------------
 
@@ -57,55 +61,6 @@ TEST(Personality, CostClockSerializesCharges) {
   const pc::SimTime b = clock.reserve(pc::microseconds(5));
   EXPECT_EQ(a, pc::microseconds(5));
   EXPECT_EQ(b, pc::microseconds(10));  // queued behind the first charge
-}
-
-// --- VIO --------------------------------------------------------------------
-
-TEST(Vio, ConnectThroughChooserAndEcho) {
-  gr::Grid grid;
-  build_testbed(grid);
-  std::shared_ptr<padico::vio::Socket> server;
-  padico::vio::listen(grid.node(1).vlink(), 5000,
-                      [&](std::shared_ptr<padico::vio::Socket> s) {
-                        server = std::move(s);
-                      });
-  std::shared_ptr<padico::vio::Socket> client;
-  bool echoed = false;
-  auto prog = [&]() -> pc::Task {
-    auto r = co_await padico::vio::connect(grid.node(0).vlink(), {1, 5000});
-    EXPECT_TRUE(r.ok());
-    if (!r.ok()) co_return;
-    client = *r;
-    client->write(pc::view_of("ping!"));
-    pc::Bytes back = co_await client->read_n(5);
-    EXPECT_EQ(std::string(back.begin(), back.end()), "PING!");
-    echoed = true;
-  };
-  auto srv = [&]() -> pc::Task {
-    while (!server) co_await pc::sleep_for(grid.engine(), 100);
-    pc::Bytes req = co_await server->read_n(5);
-    for (auto& b : req) b = static_cast<std::uint8_t>(std::toupper(b));
-    server->write(pc::view_of(req));
-  };
-  auto t1 = srv();
-  auto t2 = prog();
-  grid.engine().run_while_pending([&] { return echoed; });
-  EXPECT_TRUE(echoed);
-}
-
-TEST(Vio, ConnectToSilentPortIsRefused) {
-  gr::Grid grid;
-  build_testbed(grid);
-  bool failed = false;
-  auto prog = [&]() -> pc::Task {
-    auto r = co_await padico::vio::connect(grid.node(0).vlink(), {1, 5999});
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status(), pc::Status::refused);
-    failed = true;
-  };
-  auto t = prog();
-  grid.engine().run_while_pending([&] { return failed; });
-  EXPECT_TRUE(failed);
 }
 
 // --- MPI --------------------------------------------------------------------
@@ -221,6 +176,69 @@ TEST(Mpi, SendCompletesAndSendrecvExchanges) {
   EXPECT_TRUE(done1);
 }
 
+TEST(Mpi, StreamCommOverALinkPair) {
+  // The WAN fallback shape: a two-rank communicator over one connected
+  // link, message boundaries carried by the envelope's length field.
+  gr::Grid grid;
+  build_testbed(grid);
+  std::unique_ptr<vl::Link> a, b;
+  grid.node(1).vlink().listen(
+      5130, [&](std::unique_ptr<vl::Link> l) { b = std::move(l); });
+  grid.node(0).vlink().connect(
+      {1, 5130}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+        if (r.ok()) a = std::move(*r);
+      });
+  grid.engine().run_while_pending([&] { return a && b; });
+  ASSERT_TRUE(a && b);
+  padico::mpi::Comm c0(std::move(a), 0, grid.engine());
+  padico::mpi::Comm c1(std::move(b), 1, grid.engine());
+  EXPECT_EQ(c0.endpoint(), nullptr);
+  EXPECT_EQ(c1.rank(), 1);
+  EXPECT_EQ(c1.size(), 2);
+
+  // Unexpected messages on two tags land before any recv is posted.
+  c0.isend(1, 7, pc::view_of("a"));
+  c0.isend(1, 7, pc::view_of("bb"));
+  c0.isend(1, 9, pc::view_of("ccc"));
+  grid.engine().run_until_idle();
+  EXPECT_EQ(c1.messages_received(), 3u);
+
+  std::vector<std::string> got;
+  bool done0 = false, done1 = false;
+  auto rank1 = [&]() -> pc::Task {
+    pc::Bytes m1 = co_await c1.recv(0, 9);
+    pc::Bytes m2 = co_await c1.recv(0, 7);
+    pc::Bytes m3 = co_await c1.recv(0, 7);
+    got = {text(m1), text(m2), text(m3)};
+    // Posted before the matching sends: tagged messages in send order.
+    for (int i = 0; i < 4; ++i) {
+      pc::Bytes m = co_await c1.recv(0, 4);
+      got.push_back(text(m));
+    }
+    co_await c1.recv(0, 2);
+    c1.isend(0, 3, pc::view_of("swapped"));
+    done1 = true;
+  };
+  const std::vector<std::string> tagged = {"w", "x", "y", "z"};
+  auto rank0 = [&]() -> pc::Task {
+    for (const std::string& m : tagged) co_await c0.send(1, 4, pc::view_of(m));
+    pc::Bytes back = co_await c0.sendrecv(1, 2, pc::view_of("swap"), 1, 3);
+    EXPECT_EQ(text(back), "swapped");
+    done0 = true;
+  };
+  auto t1 = rank1();
+  auto t0 = rank0();
+  grid.engine().run_while_pending([&] { return done0 && done1; });
+  ASSERT_TRUE(done0 && done1);
+  EXPECT_EQ(got, (std::vector<std::string>{"ccc", "a", "bb", "w", "x", "y",
+                                           "z"}));  // FIFO per (source, tag)
+  EXPECT_EQ(c0.messages_sent(), 8u);
+  EXPECT_EQ(c1.messages_received(), 8u);
+  EXPECT_EQ(c0.messages_received(), 1u);
+  EXPECT_EQ(c0.seq_gaps(), 0u);
+  EXPECT_EQ(c1.seq_gaps(), 0u);
+}
+
 // --- CORBA ------------------------------------------------------------------
 
 TEST(Orb, InvokeRoundTripsArguments) {
@@ -304,6 +322,35 @@ TEST(Orb, UnknownObjectAndSilentPortFail) {
   auto t = prog();
   grid.engine().run_while_pending([&] { return done; });
   EXPECT_TRUE(done);
+}
+
+TEST(Orb, DestroyedWithConnectInFlightIgnoresTheLateAccept) {
+  gr::Grid grid;
+  build_testbed(grid);
+  padico::orb::Orb server(grid.node(1).host(), grid.node(1).vlink(),
+                          padico::orb::profiles::omniorb4(), 5230);
+  server.activate("sink", [](const std::string&,
+                             std::vector<padico::orb::Any> args) {
+    return args;
+  });
+  server.start();
+  auto client = std::make_unique<padico::orb::Orb>(
+      grid.node(0).host(), grid.node(0).vlink(),
+      padico::orb::profiles::omniorb4(), 5231);
+  const padico::orb::ObjectRef ref = server.ref_of("sink");
+  pc::Completion<padico::orb::Reply> call = client->invoke(ref, "m", {});
+  auto* drv = dynamic_cast<vl::FrameDriver*>(
+      grid.node(0).vlink().driver(grid.node(0).chooser().choose(1)));
+  ASSERT_NE(drv, nullptr);
+  EXPECT_EQ(drv->connections(), 1u);  // the lazy connect is in flight
+  client.reset();
+  // The accept arrives after the ORB is gone: its callback must touch
+  // nothing and just drop the link, and the queued request never leaves.
+  grid.engine().run_until_idle();
+  EXPECT_FALSE(call.ready());
+  EXPECT_EQ(drv->connections(), 0u);
+  EXPECT_EQ(server.requests_served(), 0u);
+  EXPECT_EQ(server.protocol_errors(), 0u);
 }
 
 // --- Java sockets -----------------------------------------------------------
