@@ -15,8 +15,11 @@
 // sessions per wall second (info — machine-dependent), and heap
 // allocations per session, counted by this file's replacement of the
 // global operator new (deterministic for a given toolchain and seed,
-// so it is max-gated).  The san scale runs once and reports its
-// allocations per session too: the SAN path's own host-work gate.
+// so it is max-gated).  The same counter prices building the large
+// grid: allocations per node during the Scenario's construction
+// (max-gated) and the bytes they request per node (info).  The san
+// scale runs once and reports its allocations per session too: the
+// SAN path's own host-work gate.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -30,15 +33,17 @@
 
 namespace {
 
-// Calls to the global operator new, which this file replaces below:
-// every allocation through `new` anywhere in the process.  The bench
-// is single-threaded.
+// Calls to the global operator new, which this file replaces below,
+// and the bytes they requested: every allocation through `new`
+// anywhere in the process.  The bench is single-threaded.
 std::uint64_t g_allocs = 0;
+std::uint64_t g_alloc_bytes = 0;
 
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
+  g_alloc_bytes += n;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -84,11 +89,22 @@ struct TimedReport {
   /// Heap allocations during run() (construction excluded) per opened
   /// session.
   double allocs_per_session = 0;
+  /// Heap allocations, and the bytes they requested, during the
+  /// Scenario's construction (grid build and server listens) per node.
+  double setup_allocs_per_node = 0;
+  double setup_bytes_per_node = 0;
 };
 
 TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
   const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t setup_allocs0 = g_allocs;
+  const std::uint64_t setup_bytes0 = g_alloc_bytes;
   sc::Scenario s(spec);
+  const auto nodes = static_cast<double>(s.grid().size());
+  const double setup_allocs =
+      static_cast<double>(g_allocs - setup_allocs0) / nodes;
+  const double setup_bytes =
+      static_cast<double>(g_alloc_bytes - setup_bytes0) / nodes;
   const std::uint64_t allocs0 = g_allocs;
   const sc::Report r = s.run();
   const std::uint64_t allocs = g_allocs - allocs0;
@@ -101,16 +117,16 @@ TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
   std::printf(
       "%-8s %5zu nodes %9llu sessions  closed %llu  failed %llu  "
       "%10.3g ev/vs  %10.3g B/vs  %10.3g sess/vs  digest %s  "
-      "[wall %.1f s, %.2f allocs/session]\n",
+      "[wall %.1f s, %.2f allocs/session, setup %.2f allocs %.0f B/node]\n",
       label, s.grid().size(),
       static_cast<unsigned long long>(r.opened),
       static_cast<unsigned long long>(r.closed),
       static_cast<unsigned long long>(r.failed), r.events_per_vsec,
       r.bytes_per_vsec, r.sessions_per_vsec, r.digest.c_str(), wall,
-      per_session);
+      per_session, setup_allocs, setup_bytes);
   return TimedReport{
       r, wall, static_cast<double>(s.grid().engine().processed()) / wall,
-      per_session};
+      per_session, setup_allocs, setup_bytes};
 }
 
 }  // namespace
@@ -168,5 +184,9 @@ int main(int argc, char** argv) {
                  static_cast<double>(best.report.opened) / best.wall_s);
   session.metric("large.allocs_per_session", "1/session",
                  large.allocs_per_session);
+  session.metric("large.setup_allocs_per_node", "1/node",
+                 large.setup_allocs_per_node);
+  session.metric("large.setup_bytes_per_node", "B/node",
+                 large.setup_bytes_per_node);
   return 0;
 }

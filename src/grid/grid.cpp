@@ -1,7 +1,6 @@
 #include "grid/grid.hpp"
 
 #include <cassert>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -13,8 +12,6 @@
 #include "madeleine/madeleine.hpp"
 #include "net/madio.hpp"
 #include "net/madio_driver.hpp"
-#include "net/netaccess.hpp"
-#include "selector/selector.hpp"
 #include "vlink/net_driver.hpp"
 #include "vlink/pstream_driver.hpp"
 
@@ -34,17 +31,8 @@ struct Grid::SanStack {
 };
 
 Node::Node(core::Engine& engine, core::NodeId id)
-    : host_(engine, id),
-      vlink_(host_),
-      access_(std::make_unique<net::NetAccess>(host_)),
-      chooser_(std::make_unique<selector::Chooser>(vlink_)) {
-  vlink_.set_policy(chooser_.get());
-}
-
-Node::~Node() = default;
-
-net::Arbitration& Node::arbitration() noexcept {
-  return access_->arbitration();
+    : host_(engine, id), vlink_(host_), access_(host_), chooser_(vlink_) {
+  vlink_.set_policy(&chooser_);
 }
 
 net::MadIO* Node::madio(std::size_t i) const noexcept {
@@ -95,15 +83,20 @@ void Grid::build(const BuildOptions& options) {
                                 " outside [0, 1)");
   }
   // Plan every attachment's method name (and its pstream stack, if
-  // any) up front.  The plan is the single source of truth: it
-  // validates wan_method BEFORE anything mutates — a failed build()
-  // leaves the grid un-built for a corrected retry — and the wiring
-  // below consumes the same names, so the two can never drift.
+  // any) up front, claiming names per node in a set local to this
+  // call.  The plan is the single source of truth: it validates
+  // wan_method BEFORE anything mutates — a failed build() leaves the
+  // grid un-built for a corrected retry — and the wiring below
+  // consumes the same names, so the two can never drift.
   // (plan_attachment/wire_attachment are shared with attach_live, so
   // runtime attachments get identical stacks.)
   std::vector<Planned> plan(attachments_.size());
-  for (std::size_t i = 0; i < attachments_.size(); ++i) {
-    plan[i] = plan_attachment(attachments_[i].first, attachments_[i].second);
+  {
+    std::vector<std::set<std::string>> taken(node_count_);
+    for (std::size_t i = 0; i < attachments_.size(); ++i) {
+      const auto [net, node] = attachments_[i];
+      plan[i] = plan_attachment(net, taken[node]);
+    }
   }
   if (!options.wan_method.empty()) {
     bool known = false;
@@ -115,7 +108,6 @@ void Grid::build(const BuildOptions& options) {
       }
     }
     if (!known) {
-      used_methods_.clear();  // undo the plan's claims; nothing wired yet
       throw std::invalid_argument("Grid::build(): wan_method '" +
                                   options.wan_method +
                                   "' matches no driver this topology wires");
@@ -142,17 +134,18 @@ void Grid::build(const BuildOptions& options) {
   }
 }
 
-Grid::Planned Grid::plan_attachment(simnet::NetId net, core::NodeId node) {
+Grid::Planned Grid::plan_attachment(simnet::NetId net,
+                                    std::set<std::string>& taken) {
   auto claim = [&](const std::string& base) {
     std::string m = base;
-    if (used_methods_[node].count(m) != 0) {
+    if (taken.count(m) != 0) {
       // Two same-profile networks on one node (e.g. twin SANs): keep
       // method names unique and deterministic.  (Two appends rather
       // than operator+ to dodge GCC 12's -Wrestrict false positive.)
       m += "@";
       m += std::to_string(net);
     }
-    used_methods_[node].insert(m);
+    taken.insert(m);
     return m;
   };
   const simnet::LinkModel& model = fabric_.network(net).model();
@@ -262,8 +255,10 @@ void Grid::attach_live(simnet::NetId net, core::NodeId node) {
   }
   fabric_.attach(net, node);
   attachments_.emplace_back(net, node);
-  const Planned plan = plan_attachment(net, node);
-  wire_attachment(net, node, plan);
+  // The node's VLink holds the names its earlier attachments claimed.
+  std::set<std::string> taken;
+  for (const auto& d : nodes_[node]->vlink().drivers()) taken.insert(d->name());
+  wire_attachment(net, node, plan_attachment(net, taken));
 }
 
 void Grid::remove_node_live(core::NodeId node) {

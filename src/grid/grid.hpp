@@ -8,12 +8,16 @@
 //   grid.build();
 //   grid.node(0).vlink().connect("madio", {1, port}, cb);
 //
-// `build()` freezes the topology: it creates one Host + VLink +
-// NetAccess + selector::Chooser per node and, for every (network,
-// node) attachment, registers a driver named after the network
-// profile's driver method, stamped with the profile's NetClass
-// affinity and capability bits.  SAN attachments ("madio") get the
-// full arbitration stack — SanDriver -> Madeleine -> MadIO ->
+// `build()` freezes the topology: it creates one Node per node — a
+// Host, a VLink, a NetAccess and a selector::Chooser, all held by
+// value — and, for every (network, node) attachment, registers a
+// driver named after the network profile's driver method, stamped with
+// the profile's NetClass affinity and capability bits.  The grid keeps
+// no name registry of its own: a name already taken on the node gets
+// the suffix "@<net id>" (twin SANs: "madio", "madio@1"), judged from
+// the names planned so far in build() and, for attach_live(), from the
+// drivers already on the node's VLink.  SAN attachments ("madio") get
+// the full arbitration stack — SanDriver -> Madeleine -> MadIO ->
 // MadIODriver — honouring BuildOptions::header_combining; IP
 // attachments ("sysio") keep the baseline NetDriver, with deliveries
 // routed through the node's arbitration so SysIO and MadIO traffic
@@ -32,7 +36,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -41,23 +44,19 @@
 
 #include "core/engine.hpp"
 #include "core/host.hpp"
+#include "net/netaccess.hpp"
 #include "net/tag.hpp"
+#include "selector/selector.hpp"
 #include "simnet/network.hpp"
 #include "vlink/vlink.hpp"
 
 namespace padico::net {
-class Arbitration;
 class MadIO;
-class NetAccess;
 }  // namespace padico::net
 
 namespace padico::circuit {
 class Group;
 }  // namespace padico::circuit
-
-namespace padico::selector {
-class Chooser;
-}  // namespace padico::selector
 
 namespace padico::grid {
 
@@ -96,7 +95,6 @@ class Node {
   Node(core::Engine& engine, core::NodeId id);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
-  ~Node();
 
   core::NodeId id() const noexcept { return host_.id(); }
   core::Host& host() noexcept { return host_; }
@@ -109,14 +107,14 @@ class Node {
   bool alive() const noexcept { return alive_; }
 
   /// The node's NetAccess point (all incoming traffic funnels here).
-  net::NetAccess& access() noexcept { return *access_; }
+  net::NetAccess& access() noexcept { return access_; }
 
   /// The node's SysIO/MadIO interleaving policy knobs.
-  net::Arbitration& arbitration() noexcept;
+  net::Arbitration& arbitration() noexcept { return access_.arbitration(); }
 
   /// The node's topology-aware method selector; installed as the
   /// VLink's SelectionPolicy, so method-less connects go through it.
-  selector::Chooser& chooser() noexcept { return *chooser_; }
+  selector::Chooser& chooser() noexcept { return chooser_; }
 
   /// The MadIO instance of the i-th SAN attachment; nullptr if the
   /// node has no such attachment.
@@ -128,8 +126,8 @@ class Node {
   core::Host host_;
   vlink::VLink vlink_;
   bool alive_ = true;
-  std::unique_ptr<net::NetAccess> access_;
-  std::unique_ptr<selector::Chooser> chooser_;
+  net::NetAccess access_;
+  selector::Chooser chooser_;
   std::vector<net::MadIO*> madios_;  // borrowed from Grid's SAN stacks
 };
 
@@ -222,9 +220,9 @@ class Grid {
     std::string vrp;
   };
 
-  /// Claim this attachment's (unique, deterministic) method names from
-  /// used_methods_.
-  Planned plan_attachment(simnet::NetId net, core::NodeId node);
+  /// Claim this attachment's (unique, deterministic) method names,
+  /// given the names its node already holds (`taken`, updated).
+  Planned plan_attachment(simnet::NetId net, std::set<std::string>& taken);
 
   /// Instantiate the planned driver stack on `node` for `net`.
   void wire_attachment(simnet::NetId net, core::NodeId node,
@@ -239,9 +237,6 @@ class Grid {
   // Declared after nodes_ so stacks die before the vlink drivers that
   // borrow them; nothing runs the engine in between.
   std::vector<std::unique_ptr<SanStack>> san_stacks_;
-  // Method names already claimed per node, so live attachments keep
-  // the same no-collision guarantee the build() plan had.
-  std::map<core::NodeId, std::set<std::string>> used_methods_;
   BuildOptions options_;
   bool built_ = false;
 };

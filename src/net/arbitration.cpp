@@ -15,6 +15,28 @@ Arbitration::Arbitration(core::Engine& engine) : engine_(&engine) {
   obs_dispatch_ns_[1] = &reg.counter("arb.dispatch_ns.mad");
 }
 
+void Arbitration::EventRing::push(core::EventFn fn) {
+  if (size_ == slots_.size()) {
+    // Full (or never used): move the closures, oldest first, into a
+    // ring twice the size.
+    std::vector<core::EventFn> grown(std::max<std::size_t>(1, 2 * size_));
+    for (std::size_t i = 0; i < size_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) & mask()]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  slots_[(head_ + size_) & mask()] = std::move(fn);
+  ++size_;
+}
+
+core::EventFn Arbitration::EventRing::pop() noexcept {
+  core::EventFn fn = std::move(slots_[head_]);
+  head_ = (head_ + 1) & mask();
+  --size_;
+  return fn;
+}
+
 void Arbitration::set_policy(int sys_weight, int mad_weight) {
   weight_[0] = std::max(1, sys_weight);
   weight_[1] = std::max(1, mad_weight);
@@ -22,7 +44,7 @@ void Arbitration::set_policy(int sys_weight, int mad_weight) {
 }
 
 void Arbitration::enqueue(Substrate s, core::EventFn fn) {
-  queue_[static_cast<int>(s)].push_back(std::move(fn));
+  queue_[static_cast<int>(s)].push(std::move(fn));
   if (!pumping_) {
     pumping_ = true;
     engine_->schedule_after(dispatch_cost_, [this] { pump(); });
@@ -51,8 +73,7 @@ void Arbitration::pump() {
     return;
   }
   if (credit_ <= 0) credit_ = weight_[cur_];  // other side idle: renew
-  core::EventFn fn = std::move(queue_[cur_].front());
-  queue_[cur_].pop_front();
+  core::EventFn fn = queue_[cur_].pop();
   --credit_;
   ++dispatched_[cur_];
   obs_dispatch_[cur_]->add();

@@ -17,13 +17,17 @@
 //
 // Units / ownership / determinism: `dispatch_cost` / `switch_cost` are
 // virtual nanoseconds.  An Arbitration borrows its Engine and is owned
-// by the node's NetAccess; queued closures are owned until dispatched.
-// Queues are plain FIFOs and the pump's state machine is driven only
-// by engine events, so dispatch order is bit-identical across runs.
+// by the node's NetAccess; queued closures are owned until dispatched
+// (or until the Arbitration dies).  Each substrate's queue is an
+// `EventRing`: a FIFO that allocates nothing until its first enqueue,
+// then reuses its storage, so an idle node pays no heap for either
+// queue.  The pump's state machine is driven only by engine events, so
+// dispatch order is bit-identical across runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/engine.hpp"
 
@@ -66,10 +70,31 @@ class Arbitration {
   }
 
  private:
+  /// One substrate's FIFO: a power-of-two ring of closures.  Empty
+  /// until the first push, which makes one slot; it doubles when full
+  /// and never shrinks, so it ends at the deepest backlog its node saw
+  /// and a steady stream of events allocates nothing.
+  class EventRing {
+   public:
+    bool empty() const noexcept { return size_ == 0; }
+    std::size_t size() const noexcept { return size_; }
+
+    void push(core::EventFn fn);
+    /// Remove and return the oldest closure; the ring must not be empty.
+    core::EventFn pop() noexcept;
+
+   private:
+    std::size_t mask() const noexcept { return slots_.size() - 1; }
+
+    std::vector<core::EventFn> slots_;  // size 0 or a power of two
+    std::size_t head_ = 0;              // index of the oldest closure
+    std::size_t size_ = 0;
+  };
+
   void pump();
 
   core::Engine* engine_;
-  std::deque<core::EventFn> queue_[2];
+  EventRing queue_[2];
   int weight_[2] = {1, 1};
   core::Duration dispatch_cost_ = core::nanoseconds(40);
   core::Duration switch_cost_ = core::nanoseconds(500);

@@ -13,7 +13,8 @@
 //   * A staged link is never destroyed inside its own delivery: its
 //     entry is marked done and the next base accept sweeps it.
 //   * Closures handed to the base driver or the engine check the
-//     adapter's liveness token.
+//     adapter's liveness token, made on the first `alive()` call: an
+//     adapter nobody listens or connects through allocates nothing.
 //
 // The VLink owns the adapter; the adapter borrows its base (registered
 // earlier on the same VLink, so it outlives every use on the event
@@ -59,7 +60,10 @@ class AdapterDriver : public Driver {
   core::Port rendezvous_port(core::Port port) const noexcept {
     return static_cast<core::Port>(port ^ port_mask_);
   }
-  std::weak_ptr<char> alive() const noexcept { return alive_; }
+  std::weak_ptr<char> alive() {
+    if (!alive_) alive_ = std::make_shared<char>();
+    return alive_;
+  }
   void count_malformed_hello() noexcept { ++malformed_hellos_; }
 
   /// `base` was accepted on the rendezvous of logical port `port` and
@@ -84,7 +88,7 @@ class AdapterDriver : public Driver {
   std::uint64_t malformed_hellos_ = 0;
   std::map<core::Port, AcceptFn> listeners_;  // by logical port
   std::map<std::uint64_t, Staged> staged_;    // awaiting their hello
-  std::shared_ptr<char> alive_ = std::make_shared<char>();
+  std::shared_ptr<char> alive_;  // liveness token; made by alive()
 };
 
 }  // namespace padico::vlink

@@ -6,10 +6,7 @@
 
 namespace padico::vlink {
 
-VLink::VLink(core::Host& host)
-    : host_(&host),
-      default_policy_(std::make_unique<FirstReachablePolicy>(*this)),
-      policy_(default_policy_.get()) {}
+VLink::VLink(core::Host& host) : host_(&host), policy_(&default_policy_) {}
 
 VLink::~VLink() = default;
 
@@ -22,18 +19,19 @@ void VLink::add_driver(std::unique_ptr<Driver> driver) {
   for (const auto& [port, fn] : listens_) ports.push_back(port);
   std::sort(ports.begin(), ports.end());
   for (core::Port port : ports) driver->listen(port, listens_[port]);
-  by_name_.emplace(driver->name(), driver.get());  // first name wins
   drivers_.push_back(std::move(driver));
   policy_->on_drivers_changed();
 }
 
 Driver* VLink::driver(const std::string& method) const {
-  auto it = by_name_.find(method);
-  return it == by_name_.end() ? nullptr : it->second;
+  for (const auto& d : drivers_) {
+    if (d->name() == method) return d.get();
+  }
+  return nullptr;
 }
 
 void VLink::set_policy(SelectionPolicy* policy) {
-  policy_ = policy != nullptr ? policy : default_policy_.get();
+  policy_ = policy != nullptr ? policy : &default_policy_;
 }
 
 void VLink::listen(core::Port port, Driver::AcceptFn on_accept) {

@@ -1,12 +1,15 @@
 // VLink: the per-node virtual link service.
 //
-// It owns the node's set of drivers (access methods) keyed by name and
-// offers listen/connect either through an explicit method or through a
-// pluggable SelectionPolicy.  The built-in default policy walks the
-// registry in insertion order and picks the first driver that reaches
-// the destination; the Grid installs the topology-aware
-// selector::Chooser on every node, which replaces that default with
-// per-NetClass ranking (see src/selector/selector.hpp).
+// It owns the node's drivers (access methods) in one list, in
+// registration order, and offers listen/connect either through an
+// explicit method or through a pluggable SelectionPolicy.  That list is
+// the node's only method-name registry: `driver(name)` scans it (a node
+// holds at most a handful of drivers) and the first driver registered
+// under a name wins.  The built-in default policy, held by value, walks
+// the list and picks the first driver that reaches the destination; the
+// Grid installs the topology-aware selector::Chooser on every node,
+// which replaces that default with per-NetClass ranking (see
+// src/selector/selector.hpp).
 //
 // Listening is sticky: `listen(port, fn)` is recorded and replayed
 // onto drivers registered later, so a server never silently misses a
@@ -44,6 +47,19 @@ class SelectionPolicy {
   virtual void on_drivers_changed() {}
 };
 
+/// The extracted pre-selector policy: first registered driver that
+/// reaches the destination (insertion order = attachment declaration
+/// order, so the typical "SAN first" testbed auto-selects the SAN).
+class FirstReachablePolicy final : public SelectionPolicy {
+ public:
+  explicit FirstReachablePolicy(const VLink& vlink) : vlink_(&vlink) {}
+
+  Driver* select(core::NodeId dst, core::Error* error) override;
+
+ private:
+  const VLink* vlink_;
+};
+
 class VLink {
  public:
   explicit VLink(core::Host& host);
@@ -59,7 +75,7 @@ class VLink {
   /// on through this VLink are registered with the new driver too.
   void add_driver(std::unique_ptr<Driver> driver);
 
-  /// Look up a driver by method name; nullptr if absent.
+  /// The first registered driver named `method`; nullptr if absent.
   Driver* driver(const std::string& method) const;
 
   const std::vector<std::unique_ptr<Driver>>& drivers() const noexcept {
@@ -99,29 +115,12 @@ class VLink {
  private:
   core::Host* host_;
   std::vector<std::unique_ptr<Driver>> drivers_;
-  // Name -> driver index for the connect("method", ...) hot path.  The
-  // first registration of a name wins, matching what the old linear
-  // scan returned for (pathological) duplicate names.
-  std::unordered_map<std::string, Driver*> by_name_;
   // Sticky listens, replayed onto late-registered drivers.  Hash map —
   // add_driver sorts the ports before replaying so the replay order
   // stays deterministic.
   std::unordered_map<core::Port, Driver::AcceptFn> listens_;
-  std::unique_ptr<SelectionPolicy> default_policy_;
-  SelectionPolicy* policy_;  // borrowed; defaults to default_policy_
-};
-
-/// The extracted pre-selector policy: first registered driver that
-/// reaches the destination (insertion order = attachment declaration
-/// order, so the typical "SAN first" testbed auto-selects the SAN).
-class FirstReachablePolicy final : public SelectionPolicy {
- public:
-  explicit FirstReachablePolicy(const VLink& vlink) : vlink_(&vlink) {}
-
-  Driver* select(core::NodeId dst, core::Error* error) override;
-
- private:
-  const VLink* vlink_;
+  FirstReachablePolicy default_policy_{*this};
+  SelectionPolicy* policy_;  // borrowed; defaults to &default_policy_
 };
 
 }  // namespace padico::vlink

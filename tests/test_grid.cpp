@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/core.hpp"
 #include "selector/selector.hpp"
@@ -290,4 +291,46 @@ TEST(Grid, TwinSansOnOneNodeGetDistinctMethods) {
   grid.build();
   EXPECT_NE(grid.node(0).vlink().driver("madio"), nullptr);
   EXPECT_NE(grid.node(0).vlink().driver("madio@1"), nullptr);
+}
+
+// attach_live plans names from the drivers the node's VLink already
+// holds, so a live node gets exactly the names build() gives a node
+// with the same attachments, and a built node's later attachment gets
+// suffixed names.
+TEST(Grid, LiveAttachmentsGetTheNamesABuiltNodeGets) {
+  gr::Grid grid;
+  grid.add_nodes(2);
+  const sn::NetId san1 = grid.add_network(sn::profiles::myrinet2000());
+  const sn::NetId san2 = grid.add_network(sn::profiles::myrinet2000());
+  const sn::NetId lan1 = grid.add_network(sn::profiles::ethernet100());
+  const sn::NetId lan2 = grid.add_network(sn::profiles::ethernet100());
+  for (const sn::NetId net : {san1, san2, lan1, lan2}) grid.attach(net, 0);
+  grid.attach(lan1, 1);
+  grid.build();
+
+  auto names = [&grid](pc::NodeId node) {
+    std::vector<std::string> out;
+    for (const auto& d : grid.node(node).vlink().drivers()) {
+      out.push_back(d->name());
+    }
+    return out;
+  };
+  const std::string at_san2 = "@" + std::to_string(san2);
+  const std::string at_lan2 = "@" + std::to_string(lan2);
+  const std::vector<std::string> built = names(0);
+  EXPECT_EQ(built, (std::vector<std::string>{"madio", "madio" + at_san2,
+                                             "sysio", "adoc",
+                                             "sysio" + at_lan2,
+                                             "adoc" + at_lan2}));
+
+  const pc::NodeId joiner = grid.add_node_live();
+  for (const sn::NetId net : {san1, san2, lan1, lan2}) {
+    grid.attach_live(net, joiner);
+  }
+  EXPECT_EQ(names(joiner), built);
+
+  grid.attach_live(lan2, 1);
+  EXPECT_EQ(names(1), (std::vector<std::string>{"sysio", "adoc",
+                                                "sysio" + at_lan2,
+                                                "adoc" + at_lan2}));
 }

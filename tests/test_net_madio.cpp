@@ -482,6 +482,99 @@ TEST(Arbitration, WeightsShapeTheInterleaveAndKeepFifoPerClass) {
   EXPECT_EQ(dispatch_order(4, 1), "0abcd123");
 }
 
+// Each substrate's queue is a ring that starts at one slot and doubles
+// when full: the first 3 sys events leave it at 4 slots.  Two
+// dispatches before the second burst move its head, so the burst wraps
+// it and then grows it; the mad burst grows its ring 1 -> 2 -> 4 -> 8.
+// Order, instants and the weighted interleave must be those of a plain
+// FIFO per class.
+TEST(Arbitration, FifoHoldsAcrossWrapAndGrowth) {
+  pc::Engine engine;
+  net::Arbitration arb(engine);
+  arb.set_policy(2, 3);
+  std::string order;
+  std::vector<pc::SimTime> at;
+  auto event = [&](char c) {
+    return [&order, &at, &engine, c] {
+      order += c;
+      at.push_back(engine.now());
+    };
+  };
+  for (char c : std::string("abc")) arb.enqueue(net::Substrate::sys, event(c));
+  while (arb.dispatched(net::Substrate::sys) < 2) ASSERT_TRUE(engine.step());
+  EXPECT_EQ(order, "ab");
+  EXPECT_EQ(arb.queued(net::Substrate::sys), 1u);
+  for (char c : std::string("defghij")) {
+    arb.enqueue(net::Substrate::sys, event(c));
+  }
+  for (char c : std::string("01234")) {
+    arb.enqueue(net::Substrate::mad, event(c));
+  }
+  EXPECT_EQ(arb.queued(net::Substrate::sys), 8u);
+  EXPECT_EQ(arb.queued(net::Substrate::mad), 5u);
+  engine.run_until_idle();
+
+  // A sys turn is 2 events and a mad turn 3; once mad runs dry, sys
+  // renews its turn without switching.
+  EXPECT_EQ(order, "ab012cd34efghij");
+  const pc::Duration d = arb.dispatch_cost();
+  const pc::Duration sw = arb.switch_cost();
+  // A turn of k events starting at t polls again at t + k*d; a poll
+  // that switches substrates delays the next dispatch by sw.  The
+  // first poll, at d, finds only sys queued and switches away from mad.
+  const pc::SimTime a = d + sw;
+  const pc::SimTime m0 = a + 2 * d + sw;
+  const pc::SimTime c = m0 + 3 * d + sw;
+  const pc::SimTime m3 = c + 2 * d + sw;
+  const pc::SimTime e = m3 + 2 * d + sw;  // mad ran dry: switch back
+  const std::vector<pc::SimTime> want = {
+      a,     a + d,     m0,        m0 + d,    m0 + 2 * d,  // a b 0 1 2
+      c,     c + d,     m3,        m3 + d,                 // c d 3 4
+      e,     e + d,     e + 2 * d, e + 3 * d, e + 4 * d,   // e f g h i
+      e + 5 * d};                                          // j
+  EXPECT_EQ(at, want);
+  EXPECT_EQ(arb.dispatched(net::Substrate::sys), 10u);
+  EXPECT_EQ(arb.dispatched(net::Substrate::mad), 5u);
+  EXPECT_EQ(arb.queued(net::Substrate::sys), 0u);
+  EXPECT_EQ(arb.queued(net::Substrate::mad), 0u);
+}
+
+// Closures still queued when their Arbitration dies are destroyed with
+// it: the buffers they own are freed (the ASan job checks for leaks),
+// and none of them runs.  The sys ring is wrapped, the mad ring grown,
+// and some closures are too large to be stored inline.
+TEST(Arbitration, DestroyedWithQueuedClosuresFreesWhatTheyOwn) {
+  pc::Engine engine;
+  int ran = 0;
+  {
+    net::Arbitration arb(engine);
+    auto small = [&ran](std::uint8_t v) {
+      return [&ran, b = pc::Bytes(64, v)] { ran += b[0]; };
+    };
+    auto large = [&ran](std::uint8_t v) {
+      return [&ran, b = pc::Bytes(64, v), c = pc::Bytes(32, v),
+              e = pc::Bytes(16, v)] { ran += b[0] + c[0] + e[0]; };
+    };
+    for (std::uint8_t v = 1; v <= 4; ++v) {
+      arb.enqueue(net::Substrate::sys, small(v));
+    }
+    while (arb.dispatched(net::Substrate::sys) < 3) ASSERT_TRUE(engine.step());
+    const int ran_before = ran;
+    arb.enqueue(net::Substrate::sys, small(5));
+    arb.enqueue(net::Substrate::sys, large(6));
+    for (std::uint8_t v = 1; v <= 3; ++v) {
+      arb.enqueue(net::Substrate::mad, small(v));
+      arb.enqueue(net::Substrate::mad, large(v));
+    }
+    EXPECT_EQ(arb.queued(net::Substrate::sys), 3u);
+    EXPECT_EQ(arb.queued(net::Substrate::mad), 6u);
+    EXPECT_EQ(ran, ran_before);
+  }
+  // The engine still holds the dead arbitration's next poll; it is
+  // destroyed with the engine, never run.
+  EXPECT_EQ(ran, 1 + 2 + 3);
+}
+
 TEST(Arbitration, SwitchingSubstratesCostsMoreThanStaying) {
   pc::Engine engine;
   net::Arbitration arb(engine);
