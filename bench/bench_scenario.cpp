@@ -17,9 +17,15 @@
 // global operator new (deterministic for a given toolchain and seed,
 // so it is max-gated).  The same counter prices building the large
 // grid: allocations per node during the Scenario's construction
-// (max-gated) and the bytes they request per node (info).  The san
-// scale runs once and reports its allocations per session too: the
-// SAN path's own host-work gate.
+// (max-gated) and the bytes they request per node (info).  It also
+// keeps the live heap, the usable size of every block `new` handed
+// out and `delete` has not taken back, and its high-water mark over
+// the large run, construction included: the peak heap (max-gated, the
+// deterministic stand-in for peak RSS).  The san scale runs once and
+// reports its allocations per session too: the SAN path's own
+// host-work gate.
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -38,18 +44,30 @@ namespace {
 // anywhere in the process.  The bench is single-threaded.
 std::uint64_t g_allocs = 0;
 std::uint64_t g_alloc_bytes = 0;
+// Live heap bytes through `new` and their high-water mark.
+std::size_t g_live_bytes = 0;
+std::size_t g_peak_bytes = 0;
+
+void free_block(void* p) noexcept {
+  if (p) g_live_bytes -= malloc_usable_size(p);
+  std::free(p);
+}
 
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
   g_alloc_bytes += n;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    g_live_bytes += malloc_usable_size(p);
+    g_peak_bytes = std::max(g_peak_bytes, g_live_bytes);
+    return p;
+  }
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
 
 namespace {
 
@@ -93,10 +111,14 @@ struct TimedReport {
   /// Scenario's construction (grid build and server listens) per node.
   double setup_allocs_per_node = 0;
   double setup_bytes_per_node = 0;
+  /// High-water mark of the live heap over construction plus run, in
+  /// MB (10^6 bytes).
+  double peak_heap_mb = 0;
 };
 
 TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
   const auto t0 = std::chrono::steady_clock::now();
+  g_peak_bytes = g_live_bytes;
   const std::uint64_t setup_allocs0 = g_allocs;
   const std::uint64_t setup_bytes0 = g_alloc_bytes;
   sc::Scenario s(spec);
@@ -114,19 +136,21 @@ TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
   const double per_session =
       static_cast<double>(allocs) /
       static_cast<double>(std::max<std::uint64_t>(r.opened, 1));
+  const double peak_mb = static_cast<double>(g_peak_bytes) / 1e6;
   std::printf(
       "%-8s %5zu nodes %9llu sessions  closed %llu  failed %llu  "
       "%10.3g ev/vs  %10.3g B/vs  %10.3g sess/vs  digest %s  "
-      "[wall %.1f s, %.2f allocs/session, setup %.2f allocs %.0f B/node]\n",
+      "[wall %.1f s, %.2f allocs/session, setup %.2f allocs %.0f B/node, "
+      "peak heap %.2f MB]\n",
       label, s.grid().size(),
       static_cast<unsigned long long>(r.opened),
       static_cast<unsigned long long>(r.closed),
       static_cast<unsigned long long>(r.failed), r.events_per_vsec,
       r.bytes_per_vsec, r.sessions_per_vsec, r.digest.c_str(), wall,
-      per_session, setup_allocs, setup_bytes);
+      per_session, setup_allocs, setup_bytes, peak_mb);
   return TimedReport{
       r, wall, static_cast<double>(s.grid().engine().processed()) / wall,
-      per_session, setup_allocs, setup_bytes};
+      per_session, setup_allocs, setup_bytes, peak_mb};
 }
 
 }  // namespace
@@ -188,5 +212,6 @@ int main(int argc, char** argv) {
                  large.setup_allocs_per_node);
   session.metric("large.setup_bytes_per_node", "B/node",
                  large.setup_bytes_per_node);
+  session.metric("large.peak_heap_mb", "MB", large.peak_heap_mb);
   return 0;
 }

@@ -170,14 +170,6 @@ class BytesPool {
     return b;
   }
 
-  /// A buffer of exactly `n` bytes, for callers that write through
-  /// `data()`; recycled like `acquire_capacity`.
-  Bytes acquire(std::size_t n) {
-    Bytes b = acquire_capacity(n);
-    b.resize(n);
-    return b;
-  }
-
   /// Return a buffer to the pool (or drop it if oversized / full).
   void release(Bytes b) noexcept {
     if (b.capacity() == 0 ||

@@ -22,8 +22,7 @@ EventQueue::EventQueue(const QueueConfig& cfg) : cfg_(cfg) {
   heap_.reserve(64);
 }
 
-std::uint32_t EventQueue::alloc_node(SimTime t, std::uint64_t seq,
-                                     EventFn fn) {
+std::uint32_t EventQueue::alloc_node(SimTime t, EventFn fn) {
   std::uint32_t idx;
   if (free_head_ != kNil) {
     idx = free_head_;
@@ -31,11 +30,10 @@ std::uint32_t EventQueue::alloc_node(SimTime t, std::uint64_t seq,
     free_head_ = n.next;
     n.fn = std::move(fn);
     n.t = t;
-    n.seq = seq;
     n.next = kNil;
   } else {
     idx = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(Node{std::move(fn), t, seq, kNil});
+    pool_.push_back(Node{std::move(fn), t, kNil});
   }
   return idx;
 }
@@ -138,11 +136,11 @@ void EventQueue::push(SimTime t, std::uint64_t seq, EventFn fn) {
   ++size_;
   if (t - base_ < cfg_.ring_ticks) {
     const std::uint32_t bucket = static_cast<std::uint32_t>(t) & mask_;
-    const std::uint32_t node = alloc_node(t, seq, std::move(fn));
+    const std::uint32_t node = alloc_node(t, std::move(fn));
     bucket_append(bucket, node);
     ++ring_count_;
   } else {
-    const std::uint32_t node = alloc_node(t, seq, std::move(fn));
+    const std::uint32_t node = alloc_node(t, std::move(fn));
     heap_push(HeapItem{t, seq, node});
   }
 }

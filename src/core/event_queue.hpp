@@ -104,10 +104,11 @@ class EventQueue {
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  // A ring bucket is FIFO by construction and a far-heap entry carries
+  // its own seq, so a node needs none.
   struct Node {
     EventFn fn;
     SimTime t = 0;
-    std::uint64_t seq = 0;
     std::uint32_t next = kNil;
   };
   struct Bucket {
@@ -120,7 +121,7 @@ class EventQueue {
     std::uint32_t node;
   };
 
-  std::uint32_t alloc_node(SimTime t, std::uint64_t seq, EventFn fn);
+  std::uint32_t alloc_node(SimTime t, EventFn fn);
   void free_node(std::uint32_t idx) noexcept;
   void bucket_append(std::uint32_t bucket, std::uint32_t node) noexcept;
   void bit_set(std::uint32_t bucket) noexcept;

@@ -45,6 +45,7 @@ FlavorProfile flavor_profile(Flavor f) {
 // ---------------------------------------------------------------------------
 
 struct Scenario::Session {
+  std::uint64_t id = 0;       // open order: what the digest folds
   core::NodeId client = 0;
   core::NodeId server = 0;
   std::uint32_t key = 0;
@@ -166,7 +167,9 @@ void Scenario::open_session(std::uint64_t id) {
   const std::uint32_t key = keys_->pick(place_rng_);
   const core::NodeId server = servers_[key % servers_.size()];
 
-  Session& s = sessions_[id];
+  const Handle h = sessions_.insert();
+  Session& s = *sessions_.find(h);
+  s.id = id;
   s.client = client;
   s.server = server;
   s.key = key;
@@ -175,9 +178,9 @@ void Scenario::open_session(std::uint64_t id) {
 
   grid_.node(client).vlink().connect(
       {server, kServerPort},
-      [this, id](core::Result<std::unique_ptr<vlink::Link>> r) {
-        auto it = sessions_.find(id);
-        if (it == sessions_.end() || it->second.counted) {
+      [this, h](core::Result<std::unique_ptr<vlink::Link>> r) {
+        Session* s = unsettled(h);
+        if (!s) {
           if (r.ok()) {
             // Session already settled; tear the stray link down from
             // outside the delivery chain.
@@ -186,33 +189,37 @@ void Scenario::open_session(std::uint64_t id) {
           return;
         }
         if (!r.ok()) {
-          fail_session(id, "session.fail.connect");
+          fail_session(h, "session.fail.connect");
           return;
         }
-        Session& s = it->second;
-        s.link = std::move(*r);
-        s.link->set_ready_handler([this, id] { on_client_ready(id); });
-        send_request(id);
+        s->link = std::move(*r);
+        s->link->set_ready_handler([this, h] { on_client_ready(h); });
+        send_request(h);
       });
 }
 
-void Scenario::send_request(std::uint64_t id) {
-  Session& s = sessions_.find(id)->second;
+Scenario::Session* Scenario::unsettled(Handle h) noexcept {
+  Session* s = sessions_.find(h);
+  return s && !s->counted ? s : nullptr;
+}
+
+void Scenario::send_request(Handle h) {
+  const Session& s = *sessions_.find(h);
   const bool fin = s.done + 1 == spec_.workload.requests_per_session;
-  after_cpu(s.client, cost_.send_cost(request_wire_), [this, id, fin] {
-    auto it = sessions_.find(id);
-    if (it == sessions_.end() || it->second.counted) return;
+  after_cpu(s.client, cost_.send_cost(request_wire_), [this, h, fin] {
+    Session* live = unsettled(h);
+    if (!live) return;
     request_scratch_[0] = fin ? 1 : 0;
-    it->second.link->post_write(core::view_of(request_scratch_));
+    live->link->post_write(core::view_of(request_scratch_));
     payload_tx_ += request_wire_;
     bytes_rate_->add(request_wire_);
   });
 }
 
-void Scenario::on_client_ready(std::uint64_t id) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second.counted) return;
-  Session& s = it->second;
+void Scenario::on_client_ready(Handle h) {
+  Session* live = unsettled(h);
+  if (!live) return;
+  Session& s = *live;
   const core::ByteView got = s.link->read_available();
   if (got.empty()) return;
   payload_rx_ += got.size();
@@ -223,27 +230,26 @@ void Scenario::on_client_ready(std::uint64_t id) {
   }
   // Full reply in (a session never pipelines, so no overshoot).
   s.rx_need = 0;
-  after_cpu(s.client, cost_.recv_cost(reply_wire_), [this, id] {
-    auto it2 = sessions_.find(id);
-    if (it2 == sessions_.end() || it2->second.counted) return;
-    Session& s2 = it2->second;
-    ++s2.done;
-    if (s2.done < spec_.workload.requests_per_session) {
-      s2.rx_need = reply_wire_;
-      send_request(id);
+  after_cpu(s.client, cost_.recv_cost(reply_wire_), [this, h] {
+    Session* s2 = unsettled(h);
+    if (!s2) return;
+    ++s2->done;
+    if (s2->done < spec_.workload.requests_per_session) {
+      s2->rx_need = reply_wire_;
+      send_request(h);
     } else {
-      complete_session(id);
+      complete_session(h);
     }
   });
 }
 
-void Scenario::complete_session(std::uint64_t id) {
-  Session& s = sessions_.find(id)->second;
+void Scenario::complete_session(Handle h) {
+  Session& s = *sessions_.find(h);
   s.counted = true;
   ++closed_;
   sessions_rate_->add();
   fold(0x0c);
-  fold(id);
+  fold(s.id);
   fold(s.client);
   fold(s.server);
   fold(s.key);
@@ -251,30 +257,30 @@ void Scenario::complete_session(std::uint64_t id) {
   fold(grid_.engine().now());
   grid_.engine().tracer().instant(obs::Cat::scenario, "session.close",
                                   s.client);
-  retire_session(id);
+  retire_session(h);
 }
 
-void Scenario::fail_session(std::uint64_t id, const char* why) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second.counted) return;
-  Session& s = it->second;
+void Scenario::fail_session(Handle h, const char* why) {
+  Session* live = unsettled(h);
+  if (!live) return;
+  Session& s = *live;
   s.counted = true;
   ++failed_;
   obs_failed_->add();
   fold(0x0f);
-  fold(id);
+  fold(s.id);
   fold(s.client);
   fold(s.server);
   fold(s.key);
   fold(grid_.engine().now());
   grid_.engine().tracer().instant(obs::Cat::scenario, why, s.client);
-  retire_session(id);
+  retire_session(h);
 }
 
-void Scenario::retire_session(std::uint64_t id) {
+void Scenario::retire_session(Handle h) {
   // The path that got us here usually runs inside the session link's
   // own delivery; destruction must happen from a fresh engine event.
-  grid_.engine().post([this, id] { sessions_.erase(id); });
+  grid_.engine().post([this, h] { sessions_.erase(h); });
 }
 
 // ---------------------------------------------------------------------------
@@ -283,19 +289,19 @@ void Scenario::retire_session(std::uint64_t id) {
 
 void Scenario::on_accept(core::NodeId server,
                          std::unique_ptr<vlink::Link> link) {
-  const std::uint64_t cid = conn_seq_++;
-  ServerConn& c = conns_[cid];
+  const Handle h = conns_.insert();
+  ServerConn& c = *conns_.find(h);
   c.server = server;
   c.need = request_wire_;
   c.link = std::move(link);
-  c.link->set_ready_handler([this, cid] { on_server_ready(cid); });
-  if (c.link->available() > 0) on_server_ready(cid);
+  c.link->set_ready_handler([this, h] { on_server_ready(h); });
+  if (c.link->available() > 0) on_server_ready(h);
 }
 
-void Scenario::on_server_ready(std::uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end() || it->second.retiring) return;
-  ServerConn& c = it->second;
+void Scenario::on_server_ready(Handle h) {
+  ServerConn* live = conns_.find(h);
+  if (!live || live->retiring) return;
+  ServerConn& c = *live;
   const core::ByteView got = c.link->read_available();
   std::size_t off = 0;
   while (off < got.size()) {
@@ -306,24 +312,24 @@ void Scenario::on_server_ready(std::uint64_t conn_id) {
     off += take;
     if (c.need == 0) {
       c.need = request_wire_;
-      send_reply(conn_id, c.flag != 0);
+      send_reply(h, c.flag != 0);
       if (c.retiring) break;
     }
   }
 }
 
-void Scenario::send_reply(std::uint64_t conn_id, bool final_request) {
-  ServerConn& c = conns_.find(conn_id)->second;
+void Scenario::send_reply(Handle h, bool final_request) {
+  ServerConn& c = *conns_.find(h);
   if (final_request) c.retiring = true;
   const core::Duration cost =
       cost_.recv_cost(request_wire_) + cost_.send_cost(reply_wire_);
-  after_cpu(c.server, cost, [this, conn_id, final_request] {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.link->post_write(core::view_of(reply_scratch_));
+  after_cpu(c.server, cost, [this, h, final_request] {
+    ServerConn* live = conns_.find(h);
+    if (!live) return;
+    live->link->post_write(core::view_of(reply_scratch_));
     if (final_request) {
       // Same deferred-destruction rule as the client side.
-      grid_.engine().post([this, conn_id] { conns_.erase(conn_id); });
+      grid_.engine().post([this, h] { conns_.erase(h); });
     }
   });
 }
@@ -474,12 +480,11 @@ Report Scenario::run() {
   // will never come) — they count failed, keeping the invariant
   // opened == closed + failed.
   std::vector<std::uint64_t> hung;
-  for (auto& [id, s] : sessions_) {
-    if (!s.counted) hung.push_back(id);
-  }
+  sessions_.for_each([&hung](const Session& s) {
+    if (!s.counted) hung.push_back(s.id);
+  });
   std::sort(hung.begin(), hung.end());  // digest folds ids in id order
   for (std::uint64_t id : hung) {
-    sessions_.find(id)->second.counted = true;
     ++failed_;
     obs_failed_->add();
     fold(0x5eull);

@@ -20,6 +20,14 @@
 // counter, and two runs of the same spec produce the same digest on
 // any platform.  test_determinism.cpp and bench_scenario gate on that.
 //
+// Live per-session and per-server-connection state sits in two slot
+// tables: chunks of slots whose freed slots are reused, so storage
+// follows the number of sessions in flight, not the number opened.
+// Every closure the workload schedules names its session by a 64-bit
+// handle, `(generation << 32) | slot`; a closure that outlives its
+// session finds a newer generation in the slot and does nothing.  A
+// session keeps its open-order id for the digest.
+//
 // A Scenario is single-shot: construct, run(), read the Report.
 // Replay = construct a second Scenario from the same spec.
 #pragma once
@@ -28,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -110,18 +117,96 @@ class Scenario {
  private:
   struct Session;
   struct ServerConn;
+  using Handle = std::uint64_t;
+
+  /// Live `T`s by handle: slots in fixed chunks of `kChunk`, a freed
+  /// slot reused (newest freed first) before a new one is cut, so
+  /// storage follows the peak number of live `T`s, never the number
+  /// ever inserted.  A slot never moves.  Its generation is odd while
+  /// occupied, and insert and erase each bump it: a handle,
+  /// `(generation << 32) | slot`, names one occupant and goes stale
+  /// when that occupant is erased.
+  template <typename T>
+  class SlotTable {
+   public:
+    /// Occupy a slot with a default `T`; returns its handle.
+    Handle insert() {
+      std::uint32_t i = free_;
+      if (i == kNil) {
+        i = size_++;
+        if (i % kChunk == 0) {
+          chunks_.push_back(std::make_unique<Slot[]>(kChunk));
+        }
+      } else {
+        free_ = at(i).next_free;
+      }
+      return (std::uint64_t{++at(i).gen} << 32) | i;
+    }
+
+    /// The occupant `h` names, or null once it was erased.
+    T* find(Handle h) noexcept {
+      Slot& s = at(static_cast<std::uint32_t>(h));
+      return s.gen == static_cast<std::uint32_t>(h >> 32) ? &s.value
+                                                          : nullptr;
+    }
+
+    /// Destroy the occupant `h` names (no-op once it was erased).
+    void erase(Handle h) {
+      if (!find(h)) return;
+      const auto i = static_cast<std::uint32_t>(h);
+      Slot& s = at(i);
+      s.value = T{};
+      ++s.gen;
+      s.next_free = free_;
+      free_ = i;
+    }
+
+    /// `fn(T&)` on every occupant, in slot order.
+    template <typename Fn>
+    void for_each(Fn fn) {
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        Slot& s = at(i);
+        if (s.gen & 1u) fn(s.value);
+      }
+    }
+
+    void clear() {
+      chunks_.clear();
+      size_ = 0;
+      free_ = kNil;
+    }
+
+   private:
+    static constexpr std::uint32_t kChunk = 64;
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    struct Slot {
+      T value;
+      std::uint32_t gen = 0;           // odd while occupied
+      std::uint32_t next_free = kNil;  // the free list, while free
+    };
+    Slot& at(std::uint32_t i) noexcept {
+      return chunks_[i / kChunk][i % kChunk];
+    }
+
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::uint32_t size_ = 0;  // slots ever cut
+    std::uint32_t free_ = kNil;
+  };
 
   void open_next();
   void open_session(std::uint64_t id);
-  void send_request(std::uint64_t id);
-  void on_client_ready(std::uint64_t id);
-  void complete_session(std::uint64_t id);
-  void fail_session(std::uint64_t id, const char* why);
-  void retire_session(std::uint64_t id);
+  /// The session `h` names while it is still unsettled (neither closed
+  /// nor failed), else null.
+  Session* unsettled(Handle h) noexcept;
+  void send_request(Handle h);
+  void on_client_ready(Handle h);
+  void complete_session(Handle h);
+  void fail_session(Handle h, const char* why);
+  void retire_session(Handle h);
 
   void on_accept(core::NodeId server, std::unique_ptr<vlink::Link> link);
-  void on_server_ready(std::uint64_t conn_id);
-  void send_reply(std::uint64_t conn_id, bool final_request);
+  void on_server_ready(Handle h);
+  void send_reply(Handle h, bool final_request);
 
   void apply_churn(const ChurnEvent& ev);
 
@@ -170,13 +255,14 @@ class Scenario {
   core::Bytes request_scratch_;
   core::Bytes reply_scratch_;
 
-  // Live workload state.
-  // Hash maps: lookup dominates (one find per protocol step).  The
-  // only iteration is run()'s final failure sweep, which sorts ids
-  // first so the digest stays identical to the ordered-map original.
-  std::unordered_map<std::uint64_t, Session> sessions_;
-  std::unordered_map<std::uint64_t, ServerConn> conns_;
-  std::uint64_t conn_seq_ = 0;
+  // Live workload state, by handle (see SlotTable).  A reference into
+  // either table stays valid until its occupant is erased; only a
+  // posted event erases one (retire_session, send_reply), so a
+  // reference never dies under the protocol step that holds it.  The
+  // one walk, run()'s final sweep, sorts what it collects, so slot
+  // order never reaches the digest.
+  SlotTable<Session> sessions_;
+  SlotTable<ServerConn> conns_;
   std::uint64_t opened_ = 0;
   std::uint64_t closed_ = 0;
   std::uint64_t failed_ = 0;

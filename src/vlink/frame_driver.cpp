@@ -1,5 +1,6 @@
 #include "vlink/frame_driver.hpp"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -11,17 +12,27 @@ namespace padico::vlink {
 
 class FrameDriver::FrameLink final : public Link {
  public:
-  using Entry = std::pair<const std::uint64_t, Conn>;
-
-  FrameLink(FrameDriver& drv, Entry& entry, core::NodeId peer,
+  /// Indexes itself under `conn_id`.
+  FrameLink(FrameDriver& drv, std::uint64_t conn_id, core::NodeId peer,
             core::Port local_port, core::Port remote_port)
-      : Link(peer, local_port, remote_port), drv_(&drv), entry_(&entry) {
-    entry.second.link = this;
+      : Link(peer, local_port, remote_port), drv_(&drv), conn_id_(conn_id) {
+    drv.conns_.insert(conn_id, this);
   }
 
   ~FrameLink() override {
-    // By a copy of the key: the entry's own key dies with the entry.
-    if (drv_) drv_->conns_.erase(std::uint64_t{entry_->first});
+    if (drv_) drv_->conns_.erase(conn_id_);
+  }
+
+  core::SimTime& horizon() noexcept { return horizon_; }
+
+  /// True while our own connect is in flight: the driver owns the link
+  /// until the accept hands it to `on_connect`.
+  bool connecting() const noexcept { return static_cast<bool>(on_connect_); }
+  void set_connect(ConnectFn on_connect) { on_connect_ = std::move(on_connect); }
+  ConnectFn take_connect() {
+    ConnectFn fn = std::move(on_connect_);
+    on_connect_ = nullptr;
+    return fn;
   }
 
   core::Bytes receive(core::Bytes frame, std::size_t offset) {
@@ -35,19 +46,96 @@ class FrameDriver::FrameLink final : public Link {
  protected:
   void send_bytes(core::ByteView data) override {
     if (!drv_) return;
-    drv_->obs_tx_frames_->add();
-    drv_->obs_tx_bytes_->add(data.size());
+    drv_->obs_frames_tx_->add();
+    drv_->obs_bytes_tx_->add(data.size());
     drv_->host_->engine().tracer().instant_arg(
         obs::Cat::vlink, "vlink.tx", data.size(), drv_->host_->id());
     wire::Header h{wire::FrameType::data, local_port(), remote_port(),
-                   drv_->host_->id(), entry_->first};
-    drv_->emit(remote_node(), h, data, entry_->second.horizon);
+                   drv_->host_->id(), conn_id_};
+    drv_->emit(remote_node(), h, data, horizon_);
   }
 
  private:
   FrameDriver* drv_;
-  Entry* entry_;  // this connection's conns_ entry; dangles once detached
+  std::uint64_t conn_id_;
+  core::SimTime horizon_ = 0;  // see FrameDriver::emit
+  ConnectFn on_connect_;       // set only while connecting
 };
+
+// ---------------------------------------------------------------------------
+// ConnIndex
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// splitmix64's finalizer (as net::SeqKeyHash): connection ids differ
+/// mostly in their low counter bits, and this spreads them.
+std::uint64_t mix(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+std::size_t FrameDriver::ConnIndex::home(std::uint64_t id) const noexcept {
+  return static_cast<std::size_t>(mix(id)) & (slots_.size() - 1);
+}
+
+std::size_t FrameDriver::ConnIndex::locate(std::uint64_t id) const noexcept {
+  if (slots_.empty()) return kNone;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(id); slots_[i].link; i = (i + 1) & mask) {
+    if (slots_[i].id == id) return i;
+  }
+  return kNone;
+}
+
+FrameDriver::FrameLink* FrameDriver::ConnIndex::find(
+    std::uint64_t id) const noexcept {
+  const std::size_t i = locate(id);
+  return i == kNone ? nullptr : slots_[i].link;
+}
+
+void FrameDriver::ConnIndex::insert(std::uint64_t id, FrameLink* link) {
+  if ((size_ + 1) * 4 > slots_.size() * 3) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(id);
+  while (slots_[i].link) i = (i + 1) & mask;
+  slots_[i] = Slot{id, link};
+  ++size_;
+}
+
+void FrameDriver::ConnIndex::erase(std::uint64_t id) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = locate(id);
+  // Backward shift: each later entry of the probe run moves into the
+  // hole unless its home lies cyclically after the hole, so every
+  // entry stays reachable from its home without tombstones.
+  for (std::size_t j = (hole + 1) & mask; slots_[j].link;
+       j = (j + 1) & mask) {
+    const std::size_t k = home(slots_[j].id);
+    if (((j - k) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+}
+
+void FrameDriver::ConnIndex::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 8 : old.size() * 2, Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (!s.link) continue;
+    std::size_t i = home(s.id);
+    while (slots_[i].link) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // FrameDriver
@@ -57,16 +145,22 @@ FrameDriver::FrameDriver(core::Host& host, std::string name,
                          bool pooled_frames)
     : Driver(std::move(name)), host_(&host), pooled_frames_(pooled_frames) {
   obs::Registry& reg = host.engine().obs();
-  obs_tx_frames_ = &reg.counter("vlink.tx.frames");
-  obs_tx_bytes_ = &reg.counter("vlink.tx.bytes");
-  obs_rx_frames_ = &reg.counter("vlink.rx.frames");
-  obs_rx_bytes_ = &reg.counter("vlink.rx.bytes");
+  obs_frames_tx_ = &reg.counter("vlink.tx.frames");
+  obs_bytes_tx_ = &reg.counter("vlink.tx.bytes");
+  obs_frames_rx_ = &reg.counter("vlink.rx.frames");
+  obs_bytes_rx_ = &reg.counter("vlink.rx.bytes");
 }
 
 FrameDriver::~FrameDriver() {
-  for (auto& [id, conn] : conns_) {
-    if (conn.link) conn.link->detach();
-  }
+  // Links in user hands outlive the driver, detached.  A link whose
+  // connect is still in flight is ours: it dies with its callback
+  // unrun, once every link is detached, so nothing its callback
+  // releases can reach back into the index.
+  std::vector<std::unique_ptr<FrameLink>> ours;
+  conns_.for_each([&ours](FrameLink* link) {
+    link->detach();
+    if (link->connecting()) ours.emplace_back(link);
+  });
 }
 
 void FrameDriver::listen(core::Port port, AcceptFn on_accept) {
@@ -81,9 +175,6 @@ void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   // per-driver counter below.
   const std::uint64_t conn_id =
       (static_cast<std::uint64_t>(host_->id()) << 40) | next_conn_++;
-  // The connect frame is paced on the entry the link will use.
-  Conn& conn = conns_[conn_id];
-  conn.on_connect = std::move(on_connect);
   // The ephemeral counter wraps WITHIN [49152, 65535]: million-session
   // workloads must never walk it into the listener port range (data
   // frames demux by conn_id, so reusing a source port is benign).
@@ -91,9 +182,24 @@ void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   next_ephemeral_ = next_ephemeral_ == 65535
                         ? static_cast<core::Port>(49152)
                         : static_cast<core::Port>(next_ephemeral_ + 1);
+  // The index owns the link until the accept (see handle_frame), and
+  // the connect frame is paced on the horizon the link then writes on.
+  auto* link =
+      new FrameLink(*this, conn_id, remote.node, src_port, remote.port);
+  link->set_connect(std::move(on_connect));
   wire::Header h{wire::FrameType::connect, src_port, remote.port,
                  host_->id(), conn_id};
-  emit(remote.node, h, {}, conn.horizon);
+  emit(remote.node, h, {}, link->horizon());
+}
+
+FrameDriver::FrameLink* FrameDriver::link_from(core::NodeId src,
+                                               std::uint64_t id) {
+  FrameLink* link = conns_.find(id);
+  if (link && link->remote_node() != src) {
+    ++malformed_;
+    return nullptr;
+  }
+  return link;
 }
 
 void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
@@ -113,63 +219,59 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
 
   switch (h.type) {
     case wire::FrameType::connect: {
-      auto [it, fresh] = conns_.try_emplace(h.conn_id);
-      if (!fresh) {
+      if (conns_.find(h.conn_id)) {
         ++malformed_;  // a repeat must not re-bind a live connection
         break;
       }
       auto lit = listeners_.find(h.dst_port);
       if (lit == listeners_.end()) {
         // Paced on nothing: no connection outlives a refuse.
-        conns_.erase(it);
         core::SimTime unpaced = 0;
         wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
                        host_->id(), h.conn_id};
         emit(src, r, {}, unpaced);
         break;
       }
-      auto link = std::make_unique<FrameLink>(*this, *it, src, h.dst_port,
-                                              h.src_port);
-      // The accept frame is paced on the link's own entry: writes made
-      // inside the accept callback queue behind it.
+      auto link = std::make_unique<FrameLink>(*this, h.conn_id, src,
+                                              h.dst_port, h.src_port);
+      // The accept frame is paced on the link's own horizon: writes
+      // made inside the accept callback queue behind it.
       wire::Header a{wire::FrameType::accept, h.dst_port, h.src_port,
                      host_->id(), h.conn_id};
-      emit(src, a, {}, it->second.horizon);
+      emit(src, a, {}, link->horizon());
       lit->second(std::move(link));
       break;
     }
     case wire::FrameType::accept: {
-      auto it = conns_.find(h.conn_id);
-      if (it == conns_.end() || it->second.link) break;
-      ConnectFn cb = std::move(it->second.on_connect);
-      std::unique_ptr<Link> link =
-          std::make_unique<FrameLink>(*this, *it, src, h.dst_port, h.src_port);
-      cb(std::move(link));
+      FrameLink* link = link_from(src, h.conn_id);
+      if (!link || !link->connecting()) break;
+      ConnectFn cb = link->take_connect();
+      cb(std::unique_ptr<Link>(link));
       break;
     }
     case wire::FrameType::refuse: {
-      auto it = conns_.find(h.conn_id);
-      if (it == conns_.end() || it->second.link) break;
-      ConnectFn cb = std::move(it->second.on_connect);
-      conns_.erase(it);
+      FrameLink* link = link_from(src, h.conn_id);
+      if (!link || !link->connecting()) break;
+      ConnectFn cb = link->take_connect();
+      delete link;  // drops its slot: no connection outlives a refuse
       cb(core::Result<std::unique_ptr<Link>>::err(
           core::Status::refused,
           name() + ": connection refused by node " + std::to_string(src)));
       break;
     }
     case wire::FrameType::data: {
-      auto it = conns_.find(h.conn_id);
-      if (it == conns_.end() || !it->second.link) break;  // stale; drop
+      FrameLink* link = link_from(src, h.conn_id);
+      if (!link || link->connecting()) break;  // stale; drop
       const std::size_t payload = offset + wire::kHeaderSize;
-      obs_rx_frames_->add();
-      obs_rx_bytes_->add(frame.size() - payload);
+      obs_frames_rx_->add();
+      obs_bytes_rx_->add(frame.size() - payload);
       // The rx span covers stream reassembly plus every continuation
       // the delivery resumes.
       obs::Scope scope(host_->engine().tracer(), obs::Cat::vlink, "vlink.rx",
                        host_->id());
       // The link takes the buffer; what comes back is storage no view
       // points into any more (see Link::deliver).
-      frame = it->second.link->receive(std::move(frame), payload);
+      frame = link->receive(std::move(frame), payload);
       break;
     }
     case wire::FrameType::header:

@@ -4,9 +4,15 @@
 // Every driver of the stack frames its traffic the same way — a
 // wire::Header (connect / accept / refuse / data) followed by stream
 // payload — and keeps the same books: listeners by port, and one
-// connection table keyed by connection id whose entry holds the link,
-// the connect callback while our own connect is in flight, and the
-// stream's pacing horizon.  FrameDriver owns all of that; a concrete
+// connection index from connection id to link.  The link is the
+// connection's whole state: it carries its id, its peer, the stream's
+// pacing horizon and, while our own connect is in flight, the connect
+// callback.  connect() creates the link at once and the driver owns it
+// until the accept hands it to that callback (a refuse, or the
+// driver's death, deletes it with the callback unrun); an accepted
+// connect frame's link goes straight to the listener.  A link erases
+// its own index slot when it dies.  Accept, refuse and data frames must
+// come from the link's peer.  FrameDriver owns all of that; a concrete
 // driver only supplies `emit()` (push one frame towards a peer) and
 // `reaches()`.  NetDriver emits straight onto a simulated network and
 // paces through the horizon; MadIODriver emits through the MadIO
@@ -16,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "core/host.hpp"
 #include "vlink/driver.hpp"
@@ -35,7 +42,7 @@ class FrameDriver : public Driver {
   }
   void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
 
-  /// Connection-table entries: live links plus connects in flight.
+  /// Indexed connections: live links plus connects in flight.
   std::size_t connections() const noexcept { return conns_.size(); }
 
   /// Frames dropped as malformed (see handle_frame).
@@ -59,45 +66,76 @@ class FrameDriver : public Driver {
 
   /// Entry point for the transport: parse and act on one received
   /// frame, `frame[offset..]` (the bytes before `offset` are the
-  /// transport's own headers).  The driver takes the buffer: a data
-  /// frame's link adopts it (see Link::deliver), and whatever storage
-  /// is left over is recycled (see `pooled_frames`).  Malformed frames
-  /// are counted and dropped, and so is a connect frame for an id the
-  /// table already holds: a live connection is never re-bound.
+  /// transport's own headers), sent by node `src`.  The driver takes
+  /// the buffer: a data frame's link adopts it (see Link::deliver), and
+  /// whatever storage is left over is recycled (see `pooled_frames`).
+  /// Counted and dropped: malformed frames, a connect frame for an id
+  /// the index already holds (a live connection is never re-bound),
+  /// and an accept, refuse or data frame whose `src` is not its
+  /// connection's peer.
   void handle_frame(core::NodeId src, core::Bytes frame, std::size_t offset);
 
  private:
   class FrameLink;
   friend class FrameLink;
 
-  /// One connection: created by connect() or by an accepted connect
-  /// frame, erased by its link's destructor or by a refuse.
-  struct Conn {
-    FrameLink* link = nullptr;  // null while our own connect is in flight
-    ConnectFn on_connect;       // set only while it is
-    core::SimTime horizon = 0;  // see emit()
+  /// The link of connection `id` if `src` is its peer.  Null when there
+  /// is none (a stale frame), and, counted malformed, when `src` is not
+  /// its peer.
+  FrameLink* link_from(core::NodeId src, std::uint64_t id);
+
+  /// Connection id -> link: a flat open-addressing table (power-of-two
+  /// capacity, linear probing, load at most 3/4, backward-shift erase,
+  /// so no tombstones), laid out like net::SeqBook.  Allocates nothing
+  /// until the first insert and never shrinks.  Nothing iterates it but
+  /// the driver's destructor, so slot order never reaches a trace.
+  class ConnIndex {
+   public:
+    std::size_t size() const noexcept { return size_; }
+    /// The link of connection `id`, or null.
+    FrameLink* find(std::uint64_t id) const noexcept;
+    /// `id` must be absent.
+    void insert(std::uint64_t id, FrameLink* link);
+    /// `id` must be present.
+    void erase(std::uint64_t id) noexcept;
+    template <typename Fn>
+    void for_each(Fn fn) const {
+      for (const Slot& s : slots_) {
+        if (s.link) fn(s.link);
+      }
+    }
+
+   private:
+    struct Slot {
+      std::uint64_t id = 0;
+      FrameLink* link = nullptr;  // null: the slot is free
+    };
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    std::size_t home(std::uint64_t id) const noexcept;
+    /// The slot holding `id`, or kNone.
+    std::size_t locate(std::uint64_t id) const noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
   };
 
   core::Host* host_;
-  // Per-frame lookups (every data frame probes conns_, every connect
-  // probes listeners_) — hash maps, not trees.  Nothing
-  // event-ordering-dependent ever iterates them: only the destructor
-  // walks conns_, to detach.  A FrameLink points at its own entry,
-  // which stays put: unordered_map nodes never move.
+  // Per-frame lookups: every frame probes conns_, every connect frame
+  // probes listeners_.
   std::unordered_map<core::Port, AcceptFn> listeners_;
-  std::unordered_map<std::uint64_t, Conn> conns_;
+  ConnIndex conns_;
   std::uint64_t next_conn_ = 1;
   std::uint64_t malformed_ = 0;
   core::Port next_ephemeral_ = 49152;
   // Next to the 16-bit port, in what would be padding: a 10k-node grid
   // has ~20k drivers, and a wider driver shows in its peak RSS.
   bool pooled_frames_;
-  // obs instrumentation: node-wide vlink traffic totals (per-link
-  // totals live on the Link itself).
-  obs::Counter* obs_tx_frames_;
-  obs::Counter* obs_tx_bytes_;
-  obs::Counter* obs_rx_frames_;
-  obs::Counter* obs_rx_bytes_;
+  // obs instrumentation: node-wide vlink traffic totals.
+  obs::Counter* obs_frames_tx_;
+  obs::Counter* obs_bytes_tx_;
+  obs::Counter* obs_frames_rx_;
+  obs::Counter* obs_bytes_rx_;
 };
 
 }  // namespace padico::vlink

@@ -8,8 +8,6 @@ void Link::post_write(const core::IoVec& iov) {
   // One wire message preserves the gather boundary end-to-end; the
   // flatten is the single copy onto the simulated wire.
   core::Bytes flat = iov.flatten();
-  ++tx_frames_;
-  tx_bytes_ += flat.size();
   send_bytes(core::view_of(flat));
 }
 
@@ -25,8 +23,6 @@ core::Completion<core::Bytes> Link::read_n(std::size_t n) {
 
 core::Bytes Link::deliver(core::Bytes frame, std::size_t offset) {
   const std::size_t n = frame.size() - offset;
-  ++rx_frames_;
-  rx_bytes_ += n;
   if (datagram_handler_) {
     // Framed mode: the adapter stacked on this link consumes whole
     // transport messages; nothing enters the stream buffer.  Invoke a

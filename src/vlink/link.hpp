@@ -6,7 +6,10 @@
 // copy — plus a FIFO of pending `read_n` requests) and delegates the
 // send side to the concrete transport via `send_bytes`.  The
 // adapter layers (VRP, AdOC, parallel streams) subclass it and keep
-// the same user-facing surface.
+// the same user-facing surface.  A link keeps no traffic totals: its
+// driver counts every frame in the engine's obs registry (`vlink.tx.*`
+// and `vlink.rx.*`), and a FrameDriver's link carries the connection's
+// own state (id, pacing horizon, pending connect) instead.
 #pragma once
 
 #include <cstddef>
@@ -37,11 +40,7 @@ class Link {
 
   /// Queue `data` for transmission and return immediately; the wire
   /// paces delivery in virtual time.  Bytes arrive in post order.
-  void post_write(core::ByteView data) {
-    ++tx_frames_;
-    tx_bytes_ += data.size();
-    send_bytes(data);
-  }
+  void post_write(core::ByteView data) { send_bytes(data); }
 
   /// Gather variant: the segments travel as one wire message.
   void post_write(const core::IoVec& iov);
@@ -99,12 +98,6 @@ class Link {
   /// baseline transports have no teardown protocol).
   virtual void post_close() {}
 
-  /// Per-link traffic totals (writes posted / deliveries received).
-  std::uint64_t tx_frames() const noexcept { return tx_frames_; }
-  std::uint64_t tx_bytes() const noexcept { return tx_bytes_; }
-  std::uint64_t rx_frames() const noexcept { return rx_frames_; }
-  std::uint64_t rx_bytes() const noexcept { return rx_bytes_; }
-
  protected:
   /// Transport hook: actually emit `data` towards the peer.
   virtual void send_bytes(core::ByteView data) = 0;
@@ -146,10 +139,6 @@ class Link {
   std::vector<PendingRead> pending_;
   std::function<void()> ready_handler_;
   std::function<void(core::ByteView)> datagram_handler_;
-  std::uint64_t tx_frames_ = 0;
-  std::uint64_t tx_bytes_ = 0;
-  std::uint64_t rx_frames_ = 0;
-  std::uint64_t rx_bytes_ = 0;
 };
 
 }  // namespace padico::vlink

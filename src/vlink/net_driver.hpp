@@ -13,10 +13,10 @@
 // before they reach the shared NIC FIFO — so one socket cannot fill
 // the pipe, several in parallel can, and the "pstream" driver's gain
 // is measured rather than asserted.  Pacing is per (sender,
-// connection): each frame advances the horizon FrameDriver keeps in
-// the connection's table entry, control frames included (the connect
-// and accept frames on the entry the link then writes through, a
-// refuse on none), and the horizon dies with the entry.
+// connection): each frame advances the horizon the connection's link
+// carries, control frames included (the connect and accept frames on
+// the link that then writes through it, a refuse on none), and the
+// horizon dies with the link.
 //
 // An optional dispatch hook defers frame handling to an external
 // scheduler: the Grid installs the node's NetAccess arbitration here so

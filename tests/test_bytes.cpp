@@ -96,16 +96,18 @@ TEST(IoVec, SecondPrependDemotesTheOldFront) {
 
 TEST(BytesPool, RecyclesReleasedCapacity) {
   pc::BytesPool pool;
-  pc::Bytes b = pool.acquire(100);
-  EXPECT_EQ(b.size(), 100u);
+  pc::Bytes b = pool.acquire_capacity(100);
+  EXPECT_TRUE(b.empty());
+  EXPECT_GE(b.capacity(), 100u);
   EXPECT_EQ(pool.misses(), 1u);  // nothing to recycle yet
 
+  b.assign(100, 0xEE);
   const std::uint8_t* data = b.data();
   pool.release(std::move(b));
   EXPECT_EQ(pool.pooled(), 1u);
 
-  pc::Bytes again = pool.acquire(64);  // smaller fits the same storage
-  EXPECT_EQ(again.size(), 64u);
+  pc::Bytes again = pool.acquire_capacity(64);  // fits the same storage
+  EXPECT_TRUE(again.empty());                   // handed back cleared
   EXPECT_EQ(again.data(), data);
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pool.pooled(), 0u);
@@ -117,8 +119,11 @@ TEST(BytesPool, OversizedBuffersAreNeverHoarded) {
   pool.release(std::move(big));
   EXPECT_EQ(pool.pooled(), 0u);
 
-  pc::Bytes huge = pool.acquire(pc::BytesPool::kMaxPooledCapacity + 1);
-  EXPECT_EQ(huge.size(), pc::BytesPool::kMaxPooledCapacity + 1);
+  pc::Bytes huge =
+      pool.acquire_capacity(pc::BytesPool::kMaxPooledCapacity + 1);
+  EXPECT_GE(huge.capacity(), pc::BytesPool::kMaxPooledCapacity + 1);
+  pool.release(std::move(huge));
+  EXPECT_EQ(pool.pooled(), 0u);
 }
 
 TEST(BytesPool, FreeListIsBounded) {

@@ -434,6 +434,37 @@ TEST(Scenario, NodeLeaveMidTransferFailsOnlyItsSessions) {
   EXPECT_EQ(r.opened, r.closed + r.failed);
 }
 
+TEST(Scenario, SlotsReusedUnderChurnKeepTheAccountingAndReplay) {
+  // 3,000 sessions through a few hundred table slots, so every slot is
+  // reused many times while closures of live sessions (the jsock
+  // flavor's CPU charges) sit queued, and node_leave strands the
+  // sessions of each victim in their slots until the final sweep.  The
+  // digest was recorded with hash-map tables keyed by session id:
+  // equal digests mean handles changed nothing observable.
+  const auto spec = [] {
+    sc::ScenarioSpec s = sc::small_world(2, 8, 3000, 2'000'000.0, 11);
+    s.workload.requests_per_session = 4;
+    s.workload.flavor = sc::Flavor::jsock;
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      s.churn.push_back({sc::ChurnKind::node_leave,
+                         core::microseconds(200 + 250 * k), k % 2, 0, 0.0});
+    }
+    return s;
+  };
+  sc::Scenario a(spec());
+  const sc::Report ra = a.run();
+  EXPECT_EQ(ra.opened, 3000u);
+  EXPECT_EQ(ra.opened, ra.closed + ra.failed);
+  EXPECT_EQ(ra.churn_applied, 4u);
+  EXPECT_GT(ra.failed, 0u);
+  EXPECT_GT(ra.closed, 0u);
+  EXPECT_EQ(ra.digest, "a4a6093e882350e0");
+  sc::Scenario b(spec());
+  const sc::Report rb = b.run();
+  EXPECT_EQ(rb.digest, ra.digest);
+  EXPECT_EQ(rb.events, ra.events);
+}
+
 TEST(Scenario, NodeJoinGrowsTheClientPool) {
   sc::ScenarioSpec spec = sc::small_world(2, 4, 400, 100'000.0, 21);
   spec.churn.push_back({sc::ChurnKind::node_join, core::microseconds(500),

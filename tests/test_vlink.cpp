@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -88,14 +89,19 @@ vl::FrameDriver& frame_driver(vl::VLink& v, const std::string& method) {
   return *static_cast<vl::FrameDriver*>(v.driver(method));
 }
 
-/// Put a hand-made control frame on the wire, as a peer (or a forger)
-/// would: `type` for connection `conn_id`, from `src` to `dst`.
+/// Put a hand-made frame on the wire, as a peer (or a forger) would:
+/// `type` for connection `conn_id`, from `src` to `dst`.
 void inject(Rig& rig, vl::wire::FrameType type, pc::NodeId src,
             pc::NodeId dst, pc::Port src_port, pc::Port dst_port,
-            std::uint64_t conn_id) {
+            std::uint64_t conn_id, pc::ByteView payload = {}) {
   const vl::wire::Header h{type, src_port, dst_port, src, conn_id};
-  ASSERT_TRUE(
-      rig.fabric.network(rig.net_id).send(src, dst, vl::wire::encode(h)).ok());
+  ASSERT_TRUE(rig.fabric.network(rig.net_id)
+                  .send(src, dst, vl::wire::encode(h, payload))
+                  .ok());
+}
+
+std::uint64_t counter(Rig& rig, const char* name) {
+  return rig.engine.obs().counter(name).value();
 }
 
 }  // namespace
@@ -219,6 +225,174 @@ TEST(VLink, StrayAcceptOrRefuseForALiveIdChangesNothing) {
   rig.engine.run_until_idle();
   EXPECT_EQ(text(a->read_available()), "pong");
   EXPECT_EQ(text(b->read_available()), "ping");
+}
+
+TEST(VLink, FramesFromAThirdNodeChangeNothing) {
+  // Connection ids are easy to guess (node 0's first is 1), so only a
+  // connection's peer may answer its connect or feed its link.  Node 2
+  // forges frames for connection 1 from the same network.
+  Rig rig;
+  rig.fabric.attach(rig.net_id, 2);
+  vl::FrameDriver& d0 = frame_driver(*rig.v0, "madio");
+  vl::FrameDriver& d1 = frame_driver(*rig.v1, "madio");
+  std::unique_ptr<vl::Link> a, b;
+  rig.v1->driver("madio")->listen(
+      4980, [&](std::unique_ptr<vl::Link> l) { b = std::move(l); });
+  int calls = 0;
+  std::optional<pc::Status> status;
+  rig.v0->connect("madio", {1, 4980},
+                  [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+                    ++calls;
+                    status = r.status();
+                    if (r.ok()) a = std::move(*r);
+                  });
+  // A forged refuse and a forged accept overtake the real accept.
+  inject(rig, vl::wire::FrameType::refuse, 2, 0, 4980, 49152, 1);
+  inject(rig, vl::wire::FrameType::accept, 2, 0, 4980, 49152, 1);
+  rig.engine.run_while_pending([&] { return d0.malformed_frames() == 2; });
+  EXPECT_EQ(d0.malformed_frames(), 2u);
+  EXPECT_EQ(calls, 0);  // neither failed nor completed the connect
+  EXPECT_EQ(d0.connections(), 1u);
+  rig.engine.run_until_idle();
+  ASSERT_EQ(calls, 1);  // the real accept still completes it
+  EXPECT_EQ(status, pc::Status::ok);
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->remote_node(), 1u);
+  EXPECT_EQ(a->remote_port(), 4980);
+
+  // Forged data for the live connection reaches neither end.
+  inject(rig, vl::wire::FrameType::data, 2, 1, 49152, 4980, 1,
+         pc::view_of("forged"));
+  inject(rig, vl::wire::FrameType::data, 2, 0, 4980, 49152, 1,
+         pc::view_of("forged"));
+  rig.engine.run_until_idle();
+  EXPECT_EQ(b->available(), 0u);
+  EXPECT_EQ(a->available(), 0u);
+  EXPECT_EQ(d0.malformed_frames(), 3u);
+  EXPECT_EQ(d1.malformed_frames(), 1u);
+  a->post_write(pc::view_of("real"));
+  rig.engine.run_until_idle();
+  EXPECT_EQ(text(b->read_available()), "real");
+}
+
+TEST(VLink, ConnectionIndexSurvivesGrowthAndEveryEraseOrder) {
+  // 1,200 connections on one driver pair: each end's index doubles
+  // from 8 to 2,048 slots.  Closing every third and then the rest in
+  // reverse erases slots in many orders; every remaining link must
+  // still be found by its id at both ends.
+  constexpr int kLinks = 1200;
+  Rig rig;
+  vl::FrameDriver& d0 = frame_driver(*rig.v0, "madio");
+  vl::FrameDriver& d1 = frame_driver(*rig.v1, "madio");
+  // Server ends by the client's (unique) ephemeral port; each echoes.
+  std::map<pc::Port, std::unique_ptr<vl::Link>> servers;
+  rig.v1->driver("madio")->listen(4990, [&](std::unique_ptr<vl::Link> l) {
+    vl::Link* raw = l.get();
+    raw->set_ready_handler([raw] {
+      const pc::Bytes got = raw->read_available().to_bytes();
+      if (!got.empty()) raw->post_write(pc::view_of(got));
+    });
+    servers.emplace(raw->remote_port(), std::move(l));
+  });
+  std::vector<std::unique_ptr<vl::Link>> clients(kLinks);
+  std::vector<std::string> echoed(kLinks);
+  for (int i = 0; i < kLinks; ++i) {
+    rig.v0->connect("madio", {1, 4990},
+                    [&, i](pc::Result<std::unique_ptr<vl::Link>> r) {
+                      ASSERT_TRUE(r.ok());
+                      clients[i] = std::move(*r);
+                      vl::Link* raw = clients[i].get();
+                      raw->set_ready_handler([raw, &echoed, i] {
+                        echoed[i] += text(raw->read_available());
+                      });
+                    });
+  }
+  rig.engine.run_until_idle();
+  ASSERT_EQ(servers.size(), static_cast<std::size_t>(kLinks));
+
+  const auto check = [&](std::size_t live) {
+    EXPECT_EQ(d0.connections(), live);
+    EXPECT_EQ(d1.connections(), live);
+    EXPECT_EQ(servers.size(), live);
+    for (int i = 0; i < kLinks; ++i) {
+      echoed[i].clear();
+      if (clients[i]) clients[i]->post_write(pc::view_of(std::to_string(i)));
+    }
+    rig.engine.run_until_idle();
+    for (int i = 0; i < kLinks; ++i) {
+      if (clients[i]) {
+        EXPECT_EQ(echoed[i], std::to_string(i)) << i;
+      }
+    }
+  };
+  const auto close = [&](int i) {
+    servers.erase(clients[i]->local_port());
+    clients[i].reset();
+  };
+
+  std::size_t live = kLinks;
+  check(live);
+  for (int i = 0; i < kLinks; i += 3, --live) close(i);
+  check(live);
+  for (int i = kLinks - 1; i >= 0; --i) {
+    if (!clients[i]) continue;
+    close(i);
+    if (--live == kLinks / 3) check(live);  // once halfway through
+  }
+  check(0);
+}
+
+TEST(VLink, DriverDestroyedWithConnectsInFlight) {
+  // The driver owns each link whose connect is in flight.  Destroying
+  // it deletes them with their callbacks unrun; the server's accepts
+  // then land on a node with no driver and are dropped.
+  Rig rig;
+  int accepted = 0;
+  std::vector<std::unique_ptr<vl::Link>> servers;
+  rig.v1->driver("madio")->listen(4995, [&](std::unique_ptr<vl::Link> l) {
+    ++accepted;
+    servers.push_back(std::move(l));
+  });
+  const auto token = std::make_shared<int>(0);
+  int called = 0;
+  for (int i = 0; i < 20; ++i) {
+    rig.v0->connect("madio", {1, 4995},
+                    [&called, token](pc::Result<std::unique_ptr<vl::Link>>) {
+                      ++called;
+                    });
+  }
+  EXPECT_EQ(frame_driver(*rig.v0, "madio").connections(), 20u);
+  EXPECT_EQ(token.use_count(), 21);
+  const std::uint64_t dropped_before =
+      rig.fabric.network(rig.net_id).messages_dropped();
+  rig.v0.reset();
+  EXPECT_EQ(token.use_count(), 1);  // every callback was destroyed
+  rig.engine.run_until_idle();
+  EXPECT_EQ(called, 0);
+  EXPECT_EQ(accepted, 20);
+  EXPECT_EQ(rig.fabric.network(rig.net_id).messages_dropped(),
+            dropped_before + 20);
+}
+
+TEST(VLink, DriverCountersTallyEveryDataFrame) {
+  // Traffic totals live in the engine's registry, counted by the
+  // drivers: data frames and their payload bytes, no control frames.
+  Rig rig;
+  auto [a, b] = rig.link_pair("madio", 4998);
+  EXPECT_EQ(counter(rig, "vlink.tx.frames"), 0u);
+  EXPECT_EQ(counter(rig, "vlink.rx.frames"), 0u);
+  a->post_write(pc::view_of("ping"));
+  pc::IoVec iov;
+  iov.append(pc::Bytes{1, 2, 3});
+  iov.append_ref(pc::view_of("pong!"));
+  b->post_write(iov);
+  rig.engine.run_until_idle();
+  EXPECT_EQ(a->available(), 8u);
+  EXPECT_EQ(b->available(), 4u);
+  EXPECT_EQ(counter(rig, "vlink.tx.frames"), 2u);
+  EXPECT_EQ(counter(rig, "vlink.tx.bytes"), 12u);
+  EXPECT_EQ(counter(rig, "vlink.rx.frames"), 2u);
+  EXPECT_EQ(counter(rig, "vlink.rx.bytes"), 12u);
 }
 
 TEST(VLink, ConnectUnknownMethodFails) {
@@ -535,8 +709,6 @@ TEST(LinkOwnership, DeliveryWhileBufferedAppendsInOrder) {
   EXPECT_EQ(back.data(), second_storage);  // copied in; the frame returns
   EXPECT_EQ(link.available(), 7u);
   EXPECT_EQ(text(link.read_available()), "abcdefg");
-  EXPECT_EQ(link.rx_frames(), 2u);
-  EXPECT_EQ(link.rx_bytes(), 7u);
 }
 
 TEST(LinkOwnership, QueuedReadsCompleteFifoAcrossAdoptedAndAppendedFrames) {
@@ -577,7 +749,6 @@ TEST(LinkOwnership, DatagramModeHandsOverExactlyThePayload) {
   EXPECT_EQ(seen_at, storage + 24);
   EXPECT_EQ(back.data(), storage);  // the link keeps nothing
   EXPECT_EQ(link.available(), 0u);
-  EXPECT_EQ(link.rx_bytes(), 5u);
 }
 
 TEST(LinkOwnership, EmptyLinkYieldsAnEmptyView) {
