@@ -5,6 +5,11 @@
 //   san   — one 1024-node Myrinet-2000 cluster, 30k sessions of 4
 //           requests, every frame through SanDriver -> Madeleine ->
 //           MadIO (the shape of bench/e2e's san_rpc);
+//   bulk  — 256 Ethernet-100 nodes (16 clusters x 16), 1,000 sessions
+//           of 16 round trips of 256 B / 256 KiB (bench/e2e's wan_bulk
+//           sub-run 0 at seed 2026, digest 0ec9071fae057fff): the
+//           zero-copy path, where a reply's bytes reach the reading
+//           link by reference;
 //   large — 10,000 nodes (100 clusters x 100), 1M Poisson sessions.
 //
 // The large scale runs TWICE and the bench fails (exit 1) if the two
@@ -23,7 +28,9 @@
 // the large run, construction included: the peak heap (max-gated, the
 // deterministic stand-in for peak RSS).  The san scale runs once and
 // reports its allocations per session too: the SAN path's own
-// host-work gate.
+// host-work gate.  The bulk scale runs once and reports allocations,
+// bytes requested per session and its peak heap: a host copy of the
+// replies shows in all three (16 x 256 KiB per session).
 #include <malloc.h>
 
 #include <algorithm>
@@ -93,6 +100,21 @@ sc::ScenarioSpec san_scale() {
   return spec;
 }
 
+sc::ScenarioSpec bulk_scale() {
+  sc::ScenarioSpec spec;
+  spec.name = "bulk";
+  spec.seed = 2026;
+  spec.clusters.assign(
+      16, sc::ClusterSpec{16, 4, padico::simnet::profiles::ethernet100()});
+  spec.workload.sessions = 1'000;
+  spec.workload.rate_per_sec = 30.0;
+  spec.workload.requests_per_session = 16;
+  spec.workload.request_bytes = 256;
+  spec.workload.reply_bytes = 256 * 1024;
+  spec.workload.key_skew = 0.0;
+  return spec;
+}
+
 sc::ScenarioSpec large_scale() {
   return sc::small_world(100, 100, 1'000'000, 5'000'000.0, 2026);
 }
@@ -105,8 +127,9 @@ struct TimedReport {
   double wall_s = 0;
   double events_per_wall_sec = 0;
   /// Heap allocations during run() (construction excluded) per opened
-  /// session.
+  /// session, and the bytes they requested.
   double allocs_per_session = 0;
+  double alloc_bytes_per_session = 0;
   /// Heap allocations, and the bytes they requested, during the
   /// Scenario's construction (grid build and server listens) per node.
   double setup_allocs_per_node = 0;
@@ -128,14 +151,16 @@ TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
   const double setup_bytes =
       static_cast<double>(g_alloc_bytes - setup_bytes0) / nodes;
   const std::uint64_t allocs0 = g_allocs;
+  const std::uint64_t bytes0 = g_alloc_bytes;
   const sc::Report r = s.run();
   const std::uint64_t allocs = g_allocs - allocs0;
+  const std::uint64_t bytes = g_alloc_bytes - bytes0;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  const double per_session =
-      static_cast<double>(allocs) /
+  const auto opened =
       static_cast<double>(std::max<std::uint64_t>(r.opened, 1));
+  const double per_session = static_cast<double>(allocs) / opened;
   const double peak_mb = static_cast<double>(g_peak_bytes) / 1e6;
   std::printf(
       "%-8s %5zu nodes %9llu sessions  closed %llu  failed %llu  "
@@ -149,8 +174,14 @@ TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
       r.bytes_per_vsec, r.sessions_per_vsec, r.digest.c_str(), wall,
       per_session, setup_allocs, setup_bytes, peak_mb);
   return TimedReport{
-      r, wall, static_cast<double>(s.grid().engine().processed()) / wall,
-      per_session, setup_allocs, setup_bytes, peak_mb};
+      r,
+      wall,
+      static_cast<double>(s.grid().engine().processed()) / wall,
+      per_session,
+      static_cast<double>(bytes) / opened,
+      setup_allocs,
+      setup_bytes,
+      peak_mb};
 }
 
 }  // namespace
@@ -173,6 +204,13 @@ int main(int argc, char** argv) {
                  san.report.sessions_per_vsec);
   session.metric("san.allocs_per_session", "1/session",
                  san.allocs_per_session);
+
+  const TimedReport bulk = timed_run("bulk", bulk_scale());
+  session.metric("bulk.allocs_per_session", "1/session",
+                 bulk.allocs_per_session);
+  session.metric("bulk.alloc_bytes_per_session", "B/session",
+                 bulk.alloc_bytes_per_session);
+  session.metric("bulk.peak_heap_mb", "MB", bulk.peak_heap_mb);
 
   const TimedReport large = timed_run("large", large_scale());
   session.metric("large.events_per_vsec", "ev/s",

@@ -1,14 +1,21 @@
 // Byte containers for the communication stack.
 //
-// `Bytes` owns storage, `ByteView` is a borrowed span, and `IoVec` is a
+// `Bytes` owns storage, `ByteView` is a borrowed span, `SharedBytes` is
+// an immutable buffer many holders share by reference, and `IoVec` is a
 // zero-copy gather list mixing borrowed and owned segments — the shape
 // Madeleine-style pack/unpack interfaces and the marshallers want.
+//
+// A writer picks how its bytes travel by the type it hands the stack:
+// a `ByteView` borrows storage the caller may reuse, so the stack
+// copies it into a frame; a `SharedBytes` never changes, so the stack
+// carries it by reference from the writer to the reading link.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace padico::core {
@@ -54,6 +61,66 @@ inline ByteView view_of(const char* s) {
 inline ByteView view_of(const void* p, std::size_t n) {
   return ByteView(static_cast<const std::uint8_t*>(p), n);
 }
+
+/// An immutable byte buffer shared by reference: an 8-byte handle to a
+/// refcounted block holding a `Bytes` that never changes after
+/// construction.  A copy shares the block, a move steals it, and the
+/// last handle frees it.  A default handle is empty.
+///
+/// The count is not atomic: one engine runs on one thread, and every
+/// holder of a block lives on that engine.  A hand-off across threads
+/// (e.g. between parallel engines) must copy the bytes out, or switch
+/// this count to an atomic one.
+///
+/// The handle stays one pointer wide on purpose: simnet's delivery
+/// closure and NetDriver's paced closure each carry one next to a
+/// `Bytes`, and 48 B is EventFn's inline budget (a `std::shared_ptr`
+/// would cost one heap allocation per frame).
+class SharedBytes {
+ public:
+  SharedBytes() noexcept = default;
+  explicit SharedBytes(Bytes bytes) : block_(new Block{1, std::move(bytes)}) {}
+  SharedBytes(const SharedBytes& other) noexcept : block_(other.block_) {
+    if (block_) ++block_->refs;
+  }
+  SharedBytes(SharedBytes&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  // Copy-and-swap: self-assignment (copy or move) leaves the handle as
+  // it was.
+  SharedBytes& operator=(const SharedBytes& other) noexcept {
+    SharedBytes(other).swap(*this);
+    return *this;
+  }
+  SharedBytes& operator=(SharedBytes&& other) noexcept {
+    SharedBytes(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~SharedBytes() {
+    if (block_ && --block_->refs == 0) delete block_;
+  }
+
+  void swap(SharedBytes& other) noexcept { std::swap(block_, other.block_); }
+
+  ByteView view() const noexcept {
+    return block_ ? view_of(block_->bytes) : ByteView{};
+  }
+  const std::uint8_t* data() const noexcept { return view().data(); }
+  std::size_t size() const noexcept { return view().size(); }
+  bool empty() const noexcept { return size() == 0; }
+
+  /// Handles sharing this block (0 for an empty handle).
+  std::size_t use_count() const noexcept { return block_ ? block_->refs : 0; }
+
+ private:
+  struct Block {
+    std::size_t refs;
+    const Bytes bytes;
+  };
+  Block* block_ = nullptr;
+};
+
+static_assert(sizeof(SharedBytes) == sizeof(void*),
+              "SharedBytes must stay one pointer wide (see above)");
 
 /// Gather list of byte segments.  `append_ref` borrows the caller's
 /// storage (zero-copy; the caller keeps it alive until the IoVec is

@@ -23,7 +23,11 @@ SanDriver::SanDriver(core::Host& host, simnet::Fabric& fabric,
                                 "' is lossy; SAN drivers require a reliable "
                                 "network");
   }
-  net_->set_receiver(host_->id(), [this](core::NodeId src, core::Bytes msg) {
+  net_->set_receiver(host_->id(), [this](core::NodeId src, core::Bytes msg,
+                                         core::SharedBytes tail) {
+    // No in-tree sender hands the SAN a shared tail; one that does
+    // gets its bytes appended, so the frame stays one buffer.
+    msg.insert(msg.end(), tail.data(), tail.data() + tail.size());
     on_wire(src, std::move(msg));
   });
 }

@@ -122,6 +122,17 @@ void Grid::build(const BuildOptions& options) {
     nodes_.push_back(
         std::make_unique<Node>(engine_, static_cast<core::NodeId>(i)));
   }
+  // Size each node's driver list once; registering its drivers one by
+  // one would regrow it 1 -> 2 -> 4 -> 8.
+  {
+    std::vector<std::size_t> drivers(node_count_, 0);
+    for (std::size_t i = 0; i < attachments_.size(); ++i) {
+      drivers[attachments_[i].second] += plan[i].drivers();
+    }
+    for (std::size_t i = 0; i < node_count_; ++i) {
+      nodes_[i]->vlink().reserve_drivers(drivers[i]);
+    }
+  }
 
   // Attachment declaration order fixes driver preference order, so the
   // typical "SAN first, LAN second" testbed auto-selects the SAN.

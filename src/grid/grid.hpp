@@ -218,6 +218,11 @@ class Grid {
     std::string pstream;
     std::string adoc;
     std::string vrp;
+
+    /// Drivers the attachment registers: its method plus each adapter.
+    std::size_t drivers() const noexcept {
+      return 1u + !pstream.empty() + !adoc.empty() + !vrp.empty();
+    }
   };
 
   /// Claim this attachment's (unique, deterministic) method names,

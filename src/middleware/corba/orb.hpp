@@ -67,9 +67,6 @@ class Any {
   const std::string& str() const { return std::get<std::string>(v_); }
   std::uint64_t u64() const { return std::get<std::uint64_t>(v_); }
 
-  /// Marshalled size contribution (the bytes the wire carries).
-  std::size_t wire_size() const noexcept;
-
  private:
   std::variant<std::monostate, core::Bytes, std::string, std::uint64_t> v_;
 };
@@ -123,7 +120,6 @@ class Orb final : public middleware::Personality {
 
   /// Register (or replace) the servant under `key`.
   void activate(const std::string& key, Method method);
-  void deactivate(const std::string& key);
 
   /// Begin accepting connections on port().
   void start();

@@ -24,14 +24,14 @@ bool MadIODriver::reaches(core::NodeId node) const {
 }
 
 void MadIODriver::emit(core::NodeId dst, const wire::Header& h,
-                       core::ByteView payload, core::SimTime& /*horizon*/) {
+                       core::ByteView payload, core::SimTime& /*horizon*/,
+                       core::SharedBytes tail) {
   mad::PackHandle handle = io_->begin(MadIO::kVLinkTag, dst);
   handle.pack(wire::encode(h));
-  if (!payload.empty()) {
-    // Borrowed until end_packing flushes, which happens before emit
-    // returns — the single payload copy is the one onto the wire.
-    handle.pack(payload, mad::SendMode::later);
-  }
+  // Both borrowed until end_packing flushes, which happens before emit
+  // returns — the single copy is the gather onto the wire.
+  if (!payload.empty()) handle.pack(payload, mad::SendMode::later);
+  if (!tail.empty()) handle.pack(tail.view(), mad::SendMode::later);
   io_->end(std::move(handle), MadIO::kVLinkTag, dst);
 }
 

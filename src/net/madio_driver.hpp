@@ -15,8 +15,11 @@
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN
 // stack) and installs the handler of kVLinkTag on it; the VLink owns
-// the driver itself.  A received frame arrives in the SAN message's
-// own buffer, which the link adopts (`take_buffer`, no copy).  Inherits
+// the driver itself.  A shared write's block is packed as a borrowed
+// Madeleine segment, like a copied write's bytes: the SAN message is
+// still gathered into one buffer (its single copy), so no tail crosses
+// the SAN.  A received frame arrives in the SAN message's own buffer,
+// which the link adopts (`take_buffer`, no copy).  Inherits
 // FrameDriver's connection table; no frame is paced here (the SAN has
 // no per-stream cap), so emit() ignores the connection's horizon.
 #pragma once
@@ -36,7 +39,8 @@ class MadIODriver final : public vlink::FrameDriver {
 
  protected:
   void emit(core::NodeId dst, const vlink::wire::Header& h,
-            core::ByteView payload, core::SimTime& horizon) override;
+            core::ByteView payload, core::SimTime& horizon,
+            core::SharedBytes tail) override;
 
  private:
   MadIO* io_;

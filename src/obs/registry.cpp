@@ -77,11 +77,6 @@ const Histogram* Registry::find_histogram(std::string_view name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-const Rate* Registry::find_rate(std::string_view name) const {
-  auto it = rates_.find(name);
-  return it == rates_.end() ? nullptr : &it->second;
-}
-
 void Registry::clear() {
   counters_.clear();
   gauges_.clear();

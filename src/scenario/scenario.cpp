@@ -75,8 +75,12 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)) {
   envelope_ = fp.envelope;
   request_wire_ = spec_.workload.request_bytes + envelope_;
   reply_wire_ = spec_.workload.reply_bytes + envelope_;
-  request_scratch_.assign(request_wire_, 0x5a);
-  reply_scratch_.assign(reply_wire_, 0xa5);
+  for (std::uint8_t fin = 0; fin < 2; ++fin) {
+    core::Bytes request(request_wire_, 0x5a);
+    request[0] = fin;
+    request_[fin] = core::SharedBytes(std::move(request));
+  }
+  reply_ = core::SharedBytes(core::Bytes(reply_wire_, 0xa5));
 
   // Independent seeded streams derived from the one spec seed.
   core::Rng seeder(spec_.seed);
@@ -209,8 +213,7 @@ void Scenario::send_request(Handle h) {
   after_cpu(s.client, cost_.send_cost(request_wire_), [this, h, fin] {
     Session* live = unsettled(h);
     if (!live) return;
-    request_scratch_[0] = fin ? 1 : 0;
-    live->link->post_write(core::view_of(request_scratch_));
+    live->link->post_write(request_[fin ? 1 : 0]);
     payload_tx_ += request_wire_;
     bytes_rate_->add(request_wire_);
   });
@@ -326,7 +329,7 @@ void Scenario::send_reply(Handle h, bool final_request) {
   after_cpu(c.server, cost, [this, h, final_request] {
     ServerConn* live = conns_.find(h);
     if (!live) return;
-    live->link->post_write(core::view_of(reply_scratch_));
+    live->link->post_write(reply_);
     if (final_request) {
       // Same deferred-destruction rule as the client side.
       grid_.engine().post([this, h] { conns_.erase(h); });

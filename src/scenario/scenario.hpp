@@ -28,6 +28,10 @@
 // session finds a newer generation in the slot and does nothing.  A
 // session keeps its open-order id for the digest.
 //
+// Request and reply bytes are immutable buffers the Scenario builds
+// once (`core::SharedBytes`): every write posts a handle to them, and
+// on the IP drivers they reach the reading link with no host copy.
+//
 // A Scenario is single-shot: construct, run(), read the Report.
 // Replay = construct a second Scenario from the same spec.
 #pragma once
@@ -252,8 +256,12 @@ class Scenario {
   // demand) — replaces a std::map of CostClocks on the hottest
   // scenario path (every request/reply charges CPU).
   std::vector<core::SimTime> cpu_free_;
-  core::Bytes request_scratch_;
-  core::Bytes reply_scratch_;
+  // The wire bytes every request and reply carries, built once and
+  // never changed: each write posts a shared handle, so the bytes ride
+  // by reference from the writer's link to the reader's.  A request's
+  // first byte is its final-request marker: request_[fin].
+  core::SharedBytes request_[2];
+  core::SharedBytes reply_;
 
   // Live workload state, by handle (see SlotTable).  A reference into
   // either table stays valid until its occupant is erased; only a

@@ -63,7 +63,8 @@ core::Duration Network::tx_time(std::size_t bytes) const {
 }
 
 core::Result<core::SimTime> Network::send(core::NodeId src, core::NodeId dst,
-                                          core::Bytes payload) {
+                                          core::Bytes head,
+                                          core::SharedBytes tail) {
   if (!up_) {
     return core::Result<core::SimTime>::err(core::Status::unreachable,
                                             model_.name + ": link down");
@@ -75,18 +76,19 @@ core::Result<core::SimTime> Network::send(core::NodeId src, core::NodeId dst,
         model_.name + ": node not attached to network");
   }
 
+  const std::size_t size = head.size() + tail.size();
   const core::SimTime start = std::max(engine_->now(), sep->tx_busy_until);
-  const core::Duration tx = tx_time(payload.size());
+  const core::Duration tx = tx_time(size);
   sep->tx_busy_until = start + tx;
   const core::SimTime arrival = start + tx + model_.latency;
 
   ++messages_sent_;
-  bytes_sent_ += payload.size();
+  bytes_sent_ += size;
   obs_msgs_->add();
-  obs_bytes_->add(payload.size());
+  obs_bytes_->add(size);
   // Wire-occupancy span: the sender NIC is busy [start, start + tx).
   engine_->tracer().complete(obs::Cat::simnet, trace_name_, start, tx,
-                             static_cast<std::uint32_t>(src), payload.size());
+                             static_cast<std::uint32_t>(src), size);
 
   if (model_.loss_rate > 0.0) {
     // Per-frame loss: draw once for EVERY frame, in frame order, so the
@@ -95,7 +97,7 @@ core::Result<core::SimTime> Network::send(core::NodeId src, core::NodeId dst,
     // prefix — the bytes before the first lost frame — because a NIC
     // delivers a fragmented message in frame order and a gap truncates
     // the reassembly.
-    const std::size_t frames = frames_for(payload.size());
+    const std::size_t frames = frames_for(size);
     std::size_t first_lost = frames;
     for (std::size_t f = 0; f < frames; ++f) {
       const bool frame_lost = rng_.uniform() < model_.loss_rate;
@@ -108,21 +110,33 @@ core::Result<core::SimTime> Network::send(core::NodeId src, core::NodeId dst,
         ++messages_dropped_;
         return arrival;
       }
+      // Flatten the surviving prefix into the head.
       const std::size_t mtu = std::max<std::size_t>(model_.mtu, 1);
-      payload.resize(std::min(payload.size(), first_lost * mtu));
+      const std::size_t keep = std::min(size, first_lost * mtu);
+      if (keep > head.size()) {
+        head.insert(head.end(), tail.data(),
+                    tail.data() + (keep - head.size()));
+      } else {
+        head.resize(keep);
+      }
+      tail = {};
     }
   }
 
-  engine_->schedule_at(
-      arrival, [this, src, dst, payload = std::move(payload)]() mutable {
-        Endpoint* e = endpoint(dst);
-        if (e != nullptr && e->recv) {
-          e->recv(src, std::move(payload));
-        } else {
-          ++messages_dropped_;
-          obs_dropped_->add();
-        }
-      });
+  auto deliver = [this, src, dst, head = std::move(head),
+                  tail = std::move(tail)]() mutable {
+    Endpoint* e = endpoint(dst);
+    if (e != nullptr && e->recv) {
+      e->recv(src, std::move(head), std::move(tail));
+    } else {
+      ++messages_dropped_;
+      obs_dropped_->add();
+    }
+  };
+  // One delivery per message: it must stay inside EventFn's inline
+  // budget, or every message pays a heap allocation.
+  static_assert(sizeof(deliver) <= core::EventFn::kInlineSize);
+  engine_->schedule_at(arrival, std::move(deliver));
   return arrival;
 }
 

@@ -3,6 +3,12 @@
 // A Network is one shared medium (SAN, LAN, WAN link) described by a
 // LinkModel.  Timing model (see DESIGN.md):
 //
+//   * a message is an owned head plus an optional shared tail
+//     (`core::SharedBytes`, carried by reference, never copied on a
+//     reliable network); its size `s` is head + tail, and every
+//     figure below — NIC time, loss draws, counters, the wire span —
+//     reads that one size, so a message with a tail times exactly like
+//     a flat message of the same total size,
 //   * each attached node has one NIC which serialises its outgoing
 //     messages FIFO (a message starts transmitting when the previous
 //     one from the same node has finished),
@@ -17,7 +23,9 @@
 //     vanishing and realized loss converges to loss_rate for large
 //     transfers.  Exactly frames_for(size) draws happen per send, in
 //     frame order, so the draw sequence depends only on the sequence
-//     of message sizes (deterministic across runs).
+//     of message sizes (deterministic across runs).  A truncated
+//     message with a tail arrives flattened: the surviving prefix is
+//     copied into the head (the one copy of the lossy path).
 //
 // A Fabric owns the set of networks sharing one engine — the piece the
 // benches instantiate directly when they bypass Grid.
@@ -41,8 +49,10 @@ namespace padico::simnet {
 
 class Network {
  public:
-  /// Called on the destination node when a message arrives.
-  using RecvFn = std::function<void(core::NodeId src, core::Bytes payload)>;
+  /// Called on the destination node when a message arrives: the
+  /// message is `head` followed by `tail` (empty for a flat message).
+  using RecvFn = std::function<void(core::NodeId src, core::Bytes head,
+                                    core::SharedBytes tail)>;
 
   Network(core::Engine& engine, LinkModel model, std::uint64_t seed);
   Network(const Network&) = delete;
@@ -86,11 +96,13 @@ class Network {
   /// overhead bytes).
   core::Duration tx_time(std::size_t bytes) const;
 
-  /// Transmit `payload` from `src` to `dst`.  Returns the arrival
-  /// instant on success (even if the message is then lost on the wire);
-  /// fails with Status::unreachable if either end is not attached.
+  /// Transmit `head` then `tail` from `src` to `dst` as one message.
+  /// Returns the arrival instant on success (even if the message is
+  /// then lost on the wire); fails with Status::unreachable if either
+  /// end is not attached.
   core::Result<core::SimTime> send(core::NodeId src, core::NodeId dst,
-                                   core::Bytes payload);
+                                   core::Bytes head,
+                                   core::SharedBytes tail = {});
 
   /// Time until `node`'s NIC FIFO drains (0 when idle) — the transmit
   /// backlog adaptive layers (AdOC) sense to pick a compression level.

@@ -35,8 +35,9 @@ class FrameDriver::FrameLink final : public Link {
     return fn;
   }
 
-  core::Bytes receive(core::Bytes frame, std::size_t offset) {
-    return deliver(std::move(frame), offset);
+  core::Bytes receive(core::Bytes frame, std::size_t offset,
+                      core::SharedBytes tail) {
+    return deliver(std::move(frame), offset, std::move(tail));
   }
 
   /// Driver teardown: the link may outlive the driver in user hands;
@@ -44,18 +45,27 @@ class FrameDriver::FrameLink final : public Link {
   void detach() { drv_ = nullptr; }
 
  protected:
-  void send_bytes(core::ByteView data) override {
-    if (!drv_) return;
-    drv_->obs_frames_tx_->add();
-    drv_->obs_bytes_tx_->add(data.size());
-    drv_->host_->engine().tracer().instant_arg(
-        obs::Cat::vlink, "vlink.tx", data.size(), drv_->host_->id());
-    wire::Header h{wire::FrameType::data, local_port(), remote_port(),
-                   drv_->host_->id(), conn_id_};
-    drv_->emit(remote_node(), h, data, horizon_);
+  void send_bytes(core::ByteView data) override { send(data, {}); }
+
+  void send_shared(core::SharedBytes data) override {
+    send({}, std::move(data));
   }
 
  private:
+  /// One data frame: `payload` is copied into it, `tail` rides it by
+  /// reference.
+  void send(core::ByteView payload, core::SharedBytes tail) {
+    if (!drv_) return;
+    const std::size_t size = payload.size() + tail.size();
+    drv_->obs_frames_tx_->add();
+    drv_->obs_bytes_tx_->add(size);
+    drv_->host_->engine().tracer().instant_arg(
+        obs::Cat::vlink, "vlink.tx", size, drv_->host_->id());
+    wire::Header h{wire::FrameType::data, local_port(), remote_port(),
+                   drv_->host_->id(), conn_id_};
+    drv_->emit(remote_node(), h, payload, horizon_, std::move(tail));
+  }
+
   FrameDriver* drv_;
   std::uint64_t conn_id_;
   core::SimTime horizon_ = 0;  // see FrameDriver::emit
@@ -189,7 +199,7 @@ void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
   link->set_connect(std::move(on_connect));
   wire::Header h{wire::FrameType::connect, src_port, remote.port,
                  host_->id(), conn_id};
-  emit(remote.node, h, {}, link->horizon());
+  emit(remote.node, h, {}, link->horizon(), {});
 }
 
 FrameDriver::FrameLink* FrameDriver::link_from(core::NodeId src,
@@ -203,7 +213,7 @@ FrameDriver::FrameLink* FrameDriver::link_from(core::NodeId src,
 }
 
 void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
-                               std::size_t offset) {
+                               std::size_t offset, core::SharedBytes tail) {
   // Read before any callback below runs: a callback may destroy this
   // driver, never the engine's pool.
   core::BytesPool* const pool =
@@ -229,7 +239,7 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
         core::SimTime unpaced = 0;
         wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
                        host_->id(), h.conn_id};
-        emit(src, r, {}, unpaced);
+        emit(src, r, {}, unpaced, {});
         break;
       }
       auto link = std::make_unique<FrameLink>(*this, h.conn_id, src,
@@ -238,7 +248,7 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
       // made inside the accept callback queue behind it.
       wire::Header a{wire::FrameType::accept, h.dst_port, h.src_port,
                      host_->id(), h.conn_id};
-      emit(src, a, {}, link->horizon());
+      emit(src, a, {}, link->horizon(), {});
       lit->second(std::move(link));
       break;
     }
@@ -264,14 +274,14 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
       if (!link || link->connecting()) break;  // stale; drop
       const std::size_t payload = offset + wire::kHeaderSize;
       obs_frames_rx_->add();
-      obs_bytes_rx_->add(frame.size() - payload);
+      obs_bytes_rx_->add(frame.size() - payload + tail.size());
       // The rx span covers stream reassembly plus every continuation
       // the delivery resumes.
       obs::Scope scope(host_->engine().tracer(), obs::Cat::vlink, "vlink.rx",
                        host_->id());
-      // The link takes the buffer; what comes back is storage no view
-      // points into any more (see Link::deliver).
-      frame = link->receive(std::move(frame), payload);
+      // The link takes the buffer and the tail; what comes back is
+      // storage no view points into any more (see Link::deliver).
+      frame = link->receive(std::move(frame), payload, std::move(tail));
       break;
     }
     case wire::FrameType::header:

@@ -16,7 +16,11 @@
 // driver only supplies `emit()` (push one frame towards a peer) and
 // `reaches()`.  NetDriver emits straight onto a simulated network and
 // paces through the horizon; MadIODriver emits through the MadIO
-// arbitration stack and ignores it.
+// arbitration stack and ignores it.  A data frame is a 24-byte header,
+// the bytes of a `post_write(ByteView)` copied behind it, or the block
+// of a `post_write(SharedBytes)` as a tail that rides the frame by
+// reference (NetDriver passes it to simnet; MadIODriver gathers it
+// into the SAN message with the rest).
 #pragma once
 
 #include <cstddef>
@@ -57,23 +61,27 @@ class FrameDriver : public Driver {
 
   core::Host& host() const noexcept { return *host_; }
 
-  /// Transport hook: deliver one encoded frame to `dst`.  `horizon`
-  /// is the connection's pacing horizon: the instant its stream is
-  /// free again, 0 until a paced frame moves it.  A transport that caps
-  /// each stream's rate advances it; others ignore it.
+  /// Transport hook: deliver one frame to `dst`, the header `h` then
+  /// `payload` (copied) then `tail` (shared: a transport that can
+  /// carries it by reference, and the frame's size is the sum).
+  /// `horizon` is the connection's pacing horizon: the instant its
+  /// stream is free again, 0 until a paced frame moves it.  A transport
+  /// that caps each stream's rate advances it; others ignore it.
   virtual void emit(core::NodeId dst, const wire::Header& h,
-                    core::ByteView payload, core::SimTime& horizon) = 0;
+                    core::ByteView payload, core::SimTime& horizon,
+                    core::SharedBytes tail) = 0;
 
   /// Entry point for the transport: parse and act on one received
-  /// frame, `frame[offset..]` (the bytes before `offset` are the
-  /// transport's own headers), sent by node `src`.  The driver takes
-  /// the buffer: a data frame's link adopts it (see Link::deliver), and
-  /// whatever storage is left over is recycled (see `pooled_frames`).
-  /// Counted and dropped: malformed frames, a connect frame for an id
-  /// the index already holds (a live connection is never re-bound),
-  /// and an accept, refuse or data frame whose `src` is not its
-  /// connection's peer.
-  void handle_frame(core::NodeId src, core::Bytes frame, std::size_t offset);
+  /// frame, `frame[offset..]` then `tail` (the bytes before `offset`
+  /// are the transport's own headers), sent by node `src`.  The driver
+  /// takes the buffer: a data frame's link adopts it and the tail (see
+  /// Link::deliver), and whatever storage is left over is recycled
+  /// (see `pooled_frames`).  Counted and dropped: malformed frames, a
+  /// connect frame for an id the index already holds (a live
+  /// connection is never re-bound), and an accept, refuse or data
+  /// frame whose `src` is not its connection's peer.
+  void handle_frame(core::NodeId src, core::Bytes frame, std::size_t offset,
+                    core::SharedBytes tail = {});
 
  private:
   class FrameLink;

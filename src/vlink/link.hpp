@@ -3,8 +3,9 @@
 //
 // `Link` is the polymorphic base: it owns receive-side reassembly (a
 // stream buffer — usually the last delivered frame, adopted without a
-// copy — plus a FIFO of pending `read_n` requests) and delegates the
-// send side to the concrete transport via `send_bytes`.  The
+// copy, or a shared tail read in place — plus a FIFO of pending
+// `read_n` requests) and delegates the send side to the concrete
+// transport via `send_bytes` and `send_shared`.  The
 // adapter layers (VRP, AdOC, parallel streams) subclass it and keep
 // the same user-facing surface.  A link keeps no traffic totals: its
 // driver counts every frame in the engine's obs registry (`vlink.tx.*`
@@ -39,8 +40,13 @@ class Link {
   core::Port remote_port() const noexcept { return remote_port_; }
 
   /// Queue `data` for transmission and return immediately; the wire
-  /// paces delivery in virtual time.  Bytes arrive in post order.
+  /// paces delivery in virtual time.  Bytes arrive in post order.  The
+  /// caller may reuse `data`'s storage at once: it is copied.
   void post_write(core::ByteView data) { send_bytes(data); }
+
+  /// Shared variant: `data` never changes, so a transport may carry it
+  /// by reference to the reading link instead of copying it.
+  void post_write(core::SharedBytes data) { send_shared(std::move(data)); }
 
   /// Gather variant: the segments travel as one wire message.
   void post_write(const core::IoVec& iov);
@@ -58,7 +64,7 @@ class Link {
   core::Completion<core::Bytes> read_n(std::size_t n);
 
   /// Bytes buffered and not yet claimed by a read.
-  std::size_t available() const noexcept { return rx_buf_.size() - rx_head_; }
+  std::size_t available() const noexcept { return stream().size() - rx_head_; }
 
   /// Synchronously take everything buffered (may be empty).  The
   /// loss-tolerant consumers use this with a ready handler instead of
@@ -66,10 +72,10 @@ class Link {
   /// complete — "whatever arrived" can.
   ///
   /// Zero-copy: the view points into the link's stream buffer, often
-  /// the very frame buffer the transport delivered.  It is valid until
-  /// the link's next delivery or read, or its destruction; fetched in
-  /// the ready handler, until that handler returns.  Consume it there,
-  /// never stash it.
+  /// the very frame buffer or shared tail the transport delivered.  It
+  /// is valid until the link's next delivery or read, or its
+  /// destruction; fetched in the ready handler, until that handler
+  /// returns.  Consume it there, never stash it.
   core::ByteView read_available();
 
   /// `fn` fires after every delivery and on end-of-stream — the
@@ -102,23 +108,39 @@ class Link {
   /// Transport hook: actually emit `data` towards the peer.
   virtual void send_bytes(core::ByteView data) = 0;
 
+  /// Transport hook for post_write(SharedBytes).  The default copies
+  /// through send_bytes; a transport that can carry the block by
+  /// reference overrides it.
+  virtual void send_shared(core::SharedBytes data) { send_bytes(data.view()); }
+
   /// Called by the transport when a message arrives from the peer:
-  /// `frame[offset..]` is the payload.  The link takes the buffer by
-  /// ownership.  In stream mode a drained link adopts it as its stream
-  /// buffer (no copy; reads start at `offset`), and a link still
-  /// holding unread bytes appends the payload.  Returns storage the
+  /// `frame[offset..]` then `tail` is the payload.  The link takes the
+  /// buffer by ownership.  In stream mode a drained link adopts it as
+  /// its stream buffer (no copy; reads start at `offset`); when the
+  /// frame carries no payload past `offset`, the link reads `tail` in
+  /// place instead (no copy either) and drops its reference once its
+  /// readers consumed it.  Anything else is appended: the payload and
+  /// tail bytes of a frame that carries both, and every delivery to a
+  /// link still holding unread bytes, which first copies unread tail
+  /// bytes out so the stream stays in FIFO order.  Returns storage the
   /// caller may recycle (BytesPool::release), no view into it live any
   /// more: the stream buffer itself when this delivery's reads and
   /// ready handler consumed everything, else what the adoption
   /// displaced or the appended `frame`.  In datagram mode the handler
-  /// sees the payload and `frame` comes back.
-  core::Bytes deliver(core::Bytes frame, std::size_t offset);
+  /// sees the payload flattened into `frame`, and `frame` comes back.
+  core::Bytes deliver(core::Bytes frame, std::size_t offset,
+                      core::SharedBytes tail = {});
 
   /// Transport hook: the peer finished its write side.  Flags
   /// eof_seen() and fires the ready handler once.
   void mark_eof();
 
  private:
+  /// The stream buffer: the shared tail while one is in place, else
+  /// the owned buffer.  `rx_head_` indexes into it.
+  core::ByteView stream() const noexcept {
+    return rx_tail_.empty() ? core::view_of(rx_buf_) : rx_tail_.view();
+  }
   core::Bytes take(std::size_t n);
   void drain();
 
@@ -131,8 +153,12 @@ class Link {
   core::Port local_port_;
   core::Port remote_port_;
   core::Bytes rx_buf_;
-  std::size_t rx_head_ = 0;
+  // 32 bits (no link buffers 4 GiB) and beside eof_, so the tail
+  // handle fits without growing the link: a FrameLink stays in its
+  // 208 B malloc chunk.
+  std::uint32_t rx_head_ = 0;
   bool eof_ = false;
+  core::SharedBytes rx_tail_;  // in place of rx_buf_ while non-empty
   // FIFO; a vector, not a deque, so an idle link allocates nothing
   // (every reader in the tree awaits one read at a time, so erasing
   // the front is cheap).

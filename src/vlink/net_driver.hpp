@@ -5,14 +5,20 @@
 // followed by the payload, one simnet message per frame.  The header
 // bytes ride inside the simnet payload, so multiplexing overhead shows
 // up in the timing for free — exactly the effect the MadIO
-// header-combining experiments measure higher in the stack.
+// header-combining experiments measure higher in the stack.  A shared
+// write's block travels as the simnet message's tail, by reference:
+// the frame is then the bare header, and the receiving link reads the
+// block in place.  Every instant reads head + tail, so it lands when
+// the same bytes copied into the frame would.
 //
 // Per-stream pacing: when the network profile carries a
 // `per_stream_bytes_per_second` cap (the window-limited-TCP model of
 // the WAN profiles), each connection pays that rate on its own frames
 // before they reach the shared NIC FIFO — so one socket cannot fill
 // the pipe, several in parallel can, and the "pstream" driver's gain
-// is measured rather than asserted.  Pacing is per (sender,
+// is measured rather than asserted.  A paced frame's closure (network,
+// two node ids, the head and the tail handle) is exactly EventFn's
+// 48 B inline budget.  Pacing is per (sender,
 // connection): each frame advances the horizon the connection's link
 // carries, control frames included (the connect and accept frames on
 // the link that then writes through it, a refuse on none), and the
@@ -52,10 +58,10 @@ class NetDriver final : public FrameDriver {
 
  protected:
   void emit(core::NodeId dst, const wire::Header& h, core::ByteView payload,
-            core::SimTime& horizon) override;
+            core::SimTime& horizon, core::SharedBytes tail) override;
 
  private:
-  void on_message(core::NodeId src, core::Bytes msg);
+  void on_message(core::NodeId src, core::Bytes msg, core::SharedBytes tail);
 
   /// Occupancy of `bytes` on one window-limited stream (same framing
   /// math as Network::tx_time, at the per-stream rate).

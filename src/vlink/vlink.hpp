@@ -75,6 +75,9 @@ class VLink {
   /// on through this VLink are registered with the new driver too.
   void add_driver(std::unique_ptr<Driver> driver);
 
+  /// Room for `n` drivers in all, so registering them allocates once.
+  void reserve_drivers(std::size_t n) { drivers_.reserve(n); }
+
   /// The first registered driver named `method`; nullptr if absent.
   Driver* driver(const std::string& method) const;
 

@@ -732,3 +732,58 @@ TEST(GridMadIO, SysAndMadTrafficShareOneArbitration) {
   EXPECT_GT(arb.dispatched(net::Substrate::mad), 0u);
   EXPECT_GT(arb.dispatched(net::Substrate::sys), 0u);
 }
+
+TEST(GridMadIO, SharedWriteArrivesByteExactWhenACopiedWriteWould) {
+  // Over madio a shared block is gathered into the SAN message like a
+  // copied write's bytes: the same bytes arrive at the same instant,
+  // eager and rendezvous sizes alike, and nothing keeps the block.
+  auto run = [](bool share) {
+    gr::Grid grid;
+    grid.add_nodes(2);
+    sn::NetId san = grid.add_network(sn::profiles::myrinet2000());
+    grid.attach(san, 0);
+    grid.attach(san, 1);
+    grid.build();
+    std::unique_ptr<vl::Link> a, b;
+    grid.node(1).vlink().driver("madio")->listen(
+        7300, [&](std::unique_ptr<vl::Link> l) { b = std::move(l); });
+    grid.node(0).vlink().connect(
+        "madio", {1, 7300},
+        [&](pc::Result<std::unique_ptr<vl::Link>> r) { a = std::move(*r); });
+    grid.engine().run_while_pending([&] { return a && b; });
+    EXPECT_TRUE(a && b);
+    pc::Bytes want;
+    std::vector<pc::SharedBytes> blocks;
+    for (std::size_t n : {std::size_t{100}, std::size_t{64 * 1024}}) {
+      pc::Bytes bytes(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        bytes[i] = static_cast<std::uint8_t>(i * 13 + n);
+      }
+      want.insert(want.end(), bytes.begin(), bytes.end());
+      blocks.emplace_back(std::move(bytes));
+    }
+    pc::Bytes got;
+    pc::SimTime at = 0;
+    b->set_ready_handler([&] {
+      const pc::ByteView v = b->read_available();
+      got.insert(got.end(), v.begin(), v.end());
+      at = grid.engine().now();
+    });
+    for (const pc::SharedBytes& block : blocks) {
+      if (share) {
+        a->post_write(block);
+      } else {
+        a->post_write(block.view());
+      }
+    }
+    grid.engine().run_until_idle();
+    EXPECT_EQ(got, want);
+    for (const pc::SharedBytes& block : blocks) {
+      EXPECT_EQ(block.use_count(), 1u);
+    }
+    return at;
+  };
+  const pc::SimTime copied = run(false);
+  EXPECT_GT(copied, 0u);
+  EXPECT_EQ(run(true), copied);
+}

@@ -146,6 +146,27 @@ TEST(Pstream, WidthOneDegeneratesToSysio) {
   EXPECT_EQ(got, msg);  // one sub-link, in-order, same byte stream
 }
 
+TEST(Pstream, SharedWriteArrivesByteExact) {
+  // pstream stripes by copying (the default shared-write hook), so a
+  // shared block reaches the reader byte-exact and nothing keeps it.
+  gr::Grid grid;
+  wan_pair(grid, 3);
+  Pair p = pstream_pair(grid, 5230);
+  const pc::SharedBytes block(pattern(100 * 1024 + 7, 4));
+  bool done = false;
+  pc::Bytes got;
+  auto reader = [&]() -> pc::Task {
+    got = co_await p.b->read_n(block.size());
+    done = true;
+  };
+  auto t = reader();
+  p.a->post_write(block);
+  grid.engine().run_while_pending([&] { return done; });
+  ASSERT_TRUE(done);
+  EXPECT_EQ(got, block.view().to_bytes());
+  EXPECT_EQ(block.use_count(), 1u);
+}
+
 TEST(Pstream, ConnectRefusedWithoutListener) {
   gr::Grid grid;
   wan_pair(grid, 4);

@@ -610,7 +610,7 @@ TEST(SimnetChurn, LinkDownFailsSendsAndRecovers) {
   sn::Network net(engine, sn::profiles::ethernet100(), 1);
   net.attach(0);
   net.attach(1);
-  net.set_receiver(1, [](core::NodeId, core::Bytes) {});
+  net.set_receiver(1, [](core::NodeId, core::Bytes, core::SharedBytes) {});
   net.set_up(false);
   EXPECT_FALSE(net.up());
   auto r = net.send(0, 1, core::Bytes{1, 2, 3});
@@ -626,7 +626,9 @@ TEST(SimnetChurn, ModelSwapPreservesEndpointsAndDetachDrops) {
   net.attach(0);
   net.attach(1);
   int delivered = 0;
-  net.set_receiver(1, [&](core::NodeId, core::Bytes) { ++delivered; });
+  net.set_receiver(1, [&](core::NodeId, core::Bytes, core::SharedBytes) {
+    ++delivered;
+  });
 
   sn::LinkModel slow = net.model();
   slow.bytes_per_second /= 100;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -23,6 +25,51 @@ struct TwoNodeNet {
   sn::Network& net() { return fabric.network(id); }
 };
 
+pc::Bytes pattern(std::size_t n) {
+  pc::Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  return b;
+}
+
+/// One arrival: its instant and its bytes (head then tail).
+struct Arrival {
+  pc::SimTime at = 0;
+  pc::Bytes bytes;
+  std::size_t tail = 0;  // bytes that came as a tail
+};
+
+/// Send each message of `sizes` from node 0 to node 1 on a fresh
+/// `model` network, flat or split into a 24-byte head and a shared
+/// tail, and record what arrives.
+std::pair<std::vector<Arrival>, std::uint64_t> transfer(
+    const sn::LinkModel& model, const std::vector<std::size_t>& sizes,
+    bool split) {
+  TwoNodeNet t(model);
+  std::vector<Arrival> got;
+  t.net().set_receiver(
+      1, [&](pc::NodeId, pc::Bytes head, pc::SharedBytes tail) {
+        Arrival a{t.engine.now(), std::move(head), tail.size()};
+        a.bytes.insert(a.bytes.end(), tail.data(), tail.data() + tail.size());
+        got.push_back(std::move(a));
+      });
+  for (std::size_t n : sizes) {
+    pc::Bytes whole = pattern(n);
+    if (split) {
+      pc::Bytes head(whole.begin(), whole.begin() + 24);
+      pc::SharedBytes tail(pc::Bytes(whole.begin() + 24, whole.end()));
+      EXPECT_TRUE(t.net().send(0, 1, std::move(head), std::move(tail)).ok());
+    } else {
+      EXPECT_TRUE(t.net().send(0, 1, std::move(whole)).ok());
+    }
+  }
+  t.engine.run_until_idle();
+  EXPECT_EQ(t.net().bytes_sent(),
+            std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}));
+  return {std::move(got), t.net().frames_dropped()};
+}
+
 }  // namespace
 
 TEST(Simnet, OneByteArrivalMatchesModel) {
@@ -43,11 +90,12 @@ TEST(Simnet, DeliveryCallbackFiresAtArrival) {
   TwoNodeNet t(sn::profiles::ethernet100());
   pc::SimTime delivered_at = 0;
   pc::Bytes got;
-  t.net().set_receiver(1, [&](pc::NodeId src, pc::Bytes payload) {
-    EXPECT_EQ(src, 0u);
-    delivered_at = t.engine.now();
-    got = std::move(payload);
-  });
+  t.net().set_receiver(
+      1, [&](pc::NodeId src, pc::Bytes payload, pc::SharedBytes) {
+        EXPECT_EQ(src, 0u);
+        delivered_at = t.engine.now();
+        got = std::move(payload);
+      });
   auto r = t.net().send(0, 1, pc::Bytes{1, 2, 3});
   ASSERT_TRUE(r.ok());
   t.engine.run_until_idle();
@@ -78,7 +126,7 @@ TEST(Simnet, SenderNicSerialisesFifo) {
   EXPECT_EQ(*r2 - *r1, t.net().tx_time(size));
 
   std::vector<int> order;
-  t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes payload) {
+  t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes payload, pc::SharedBytes) {
     order.push_back(payload[0]);
   });
   t.engine.run_until_idle();
@@ -109,9 +157,10 @@ TEST(Simnet, LossyLinkDropsDeterministically) {
   auto run = [] {
     TwoNodeNet t(sn::profiles::transcontinental_internet(0.5));
     std::vector<int> delivered;
-    t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes payload) {
-      delivered.push_back(payload[0]);
-    });
+    t.net().set_receiver(
+        1, [&](pc::NodeId, pc::Bytes payload, pc::SharedBytes) {
+          delivered.push_back(payload[0]);
+        });
     for (int i = 0; i < 64; ++i) {
       auto r = t.net().send(0, 1, pc::Bytes(1, static_cast<std::uint8_t>(i)));
       EXPECT_TRUE(r.ok());  // loss happens on the wire, not at send
@@ -131,7 +180,7 @@ TEST(Simnet, LossTruncatesToSurvivingPrefix) {
   sn::LinkModel m = sn::profiles::transcontinental_internet(0.3);
   TwoNodeNet t(m);
   std::vector<std::size_t> sizes;
-  t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes payload) {
+  t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes payload, pc::SharedBytes) {
     sizes.push_back(payload.size());
   });
   const std::size_t total = 20 * m.mtu;  // 20 frames per message
@@ -165,9 +214,10 @@ TEST(Simnet, PerFrameLossPatternIsDeterministic) {
     sn::LinkModel m = sn::profiles::transcontinental_internet(0.2);
     TwoNodeNet t(m);
     std::vector<std::size_t> sizes;
-    t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes payload) {
-      sizes.push_back(payload.size());
-    });
+    t.net().set_receiver(
+        1, [&](pc::NodeId, pc::Bytes payload, pc::SharedBytes) {
+          sizes.push_back(payload.size());
+        });
     for (int i = 0; i < 24; ++i) {
       EXPECT_TRUE(t.net().send(0, 1, pc::Bytes(8 * m.mtu, 1)).ok());
     }
@@ -188,4 +238,57 @@ TEST(Simnet, StatsCountMessagesAndBytes) {
   EXPECT_EQ(t.net().messages_sent(), 2u);
   EXPECT_EQ(t.net().bytes_sent(), 150u);
   EXPECT_EQ(t.net().messages_dropped(), 0u);
+}
+
+TEST(Simnet, TailArrivesWithTheFlatMessageOfTheSameSize) {
+  // Head + tail times, counts and delivers exactly like the flat
+  // message of the same total size, back to back on one NIC too.
+  const std::vector<std::size_t> sizes = {24 + 1, 3000, 256 * 1024, 100};
+  const auto [flat, flat_lost] =
+      transfer(sn::profiles::ethernet100(), sizes, false);
+  const auto [split, split_lost] =
+      transfer(sn::profiles::ethernet100(), sizes, true);
+  ASSERT_EQ(flat.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(split[i].at, flat[i].at) << "message " << i;
+    EXPECT_EQ(split[i].bytes, flat[i].bytes) << "message " << i;
+    EXPECT_EQ(split[i].tail, sizes[i] - 24) << "message " << i;  // by ref
+  }
+}
+
+TEST(Simnet, TailMessageRidesTheReceiverByReference) {
+  TwoNodeNet t(sn::profiles::myrinet2000());
+  const pc::SharedBytes block(pattern(5000));
+  const std::uint8_t* seen = nullptr;
+  t.net().set_receiver(1, [&](pc::NodeId, pc::Bytes, pc::SharedBytes tail) {
+    seen = tail.data();
+  });
+  ASSERT_TRUE(t.net().send(0, 1, pc::Bytes(24, 1), block).ok());
+  EXPECT_EQ(block.use_count(), 2u);  // in flight in the delivery closure
+  t.engine.run_until_idle();
+  EXPECT_EQ(seen, block.data());
+  EXPECT_EQ(block.use_count(), 1u);
+}
+
+TEST(Simnet, LossyTruncationOfATailDeliversTheFlatPrefix) {
+  // Same loss draws as the flat messages (the draws read the total
+  // size), and a truncated message arrives flattened: exactly the
+  // surviving prefix, no tail.
+  const sn::LinkModel m = sn::profiles::transcontinental_internet(0.2);
+  const std::vector<std::size_t> sizes(24, 8 * m.mtu + 100);
+  const auto [flat, flat_lost] = transfer(m, sizes, false);
+  const auto [split, split_lost] = transfer(m, sizes, true);
+  EXPECT_GT(flat_lost, 0u);
+  EXPECT_EQ(split_lost, flat_lost);
+  ASSERT_EQ(split.size(), flat.size());
+  bool truncated = false;
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    EXPECT_EQ(split[i].at, flat[i].at);
+    EXPECT_EQ(split[i].bytes, flat[i].bytes);
+    if (flat[i].bytes.size() < sizes[i]) {
+      truncated = true;
+      EXPECT_EQ(split[i].tail, 0u);  // flattened into the head
+    }
+  }
+  EXPECT_TRUE(truncated);
 }

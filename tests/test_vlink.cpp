@@ -85,6 +85,11 @@ std::string text(pc::ByteView v) {
   return std::string(v.begin(), v.end());
 }
 
+/// An immutable shared block holding `payload`.
+pc::SharedBytes shared(std::string_view payload) {
+  return pc::SharedBytes(pc::Bytes(payload.begin(), payload.end()));
+}
+
 vl::FrameDriver& frame_driver(vl::VLink& v, const std::string& method) {
   return *static_cast<vl::FrameDriver*>(v.driver(method));
 }
@@ -757,4 +762,225 @@ TEST(LinkOwnership, EmptyLinkYieldsAnEmptyView) {
   link.deliver(framed(24, "x"), 24);
   EXPECT_EQ(text(link.read_available()), "x");
   EXPECT_TRUE(link.read_available().empty());  // drained by the first read
+}
+
+TEST(LinkOwnership, DrainedLinkReadsATailInPlace) {
+  BareLink link;
+  const pc::SharedBytes block = shared("zero-copy");
+  const std::uint8_t* seen_at = nullptr;
+  std::string seen;
+  link.set_ready_handler([&] {
+    const pc::ByteView v = link.read_available();
+    seen_at = v.data();
+    seen = text(v);
+  });
+  pc::Bytes head = framed(24, "");
+  const std::uint8_t* head_storage = head.data();
+  const pc::Bytes back = link.deliver(std::move(head), 24, block);
+  EXPECT_EQ(seen, "zero-copy");
+  EXPECT_EQ(seen_at, block.data());     // the block itself, not a copy
+  EXPECT_EQ(back.data(), head_storage);  // the bare header comes back
+}
+
+TEST(LinkOwnership, NoReferenceOutlivesTheTailTheReadyHandlerConsumed) {
+  BareLink link;
+  const pc::SharedBytes block = shared("abc");
+  std::size_t refs_in_handler = 0;
+  link.set_ready_handler([&] {
+    refs_in_handler = block.use_count();
+    link.read_available();
+  });
+  link.deliver(framed(24, ""), 24, block);
+  EXPECT_EQ(refs_in_handler, 2u);  // the link held it while reading
+  EXPECT_EQ(block.use_count(), 1u);
+  EXPECT_EQ(link.available(), 0u);
+
+  // A read that consumes the tail drops it at once too.
+  BareLink other;
+  other.deliver(framed(24, ""), 24, block);
+  EXPECT_EQ(block.use_count(), 2u);  // unread: held by reference
+  std::string got;
+  auto reader = [&]() -> pc::Task {
+    pc::Bytes b = co_await other.read_n(3);
+    got = text(pc::view_of(b));
+  };
+  auto t = reader();
+  EXPECT_EQ(got, "abc");
+  EXPECT_EQ(block.use_count(), 1u);
+}
+
+TEST(LinkOwnership, LaggingReaderGetsTailBytesAheadOfTheNextFrame) {
+  BareLink link;
+  const pc::SharedBytes block = shared("abcdef");
+  link.deliver(framed(24, ""), 24, block);
+  std::string first;
+  auto reader = [&]() -> pc::Task {
+    pc::Bytes b = co_await link.read_n(2);
+    first = text(pc::view_of(b));
+  };
+  auto t = reader();
+  EXPECT_EQ(first, "ab");
+  EXPECT_EQ(link.available(), 4u);
+  EXPECT_EQ(block.use_count(), 2u);
+
+  // An owned frame behind the unread tail bytes: they are copied out,
+  // the reference goes, and FIFO order holds.
+  pc::Bytes next = framed(24, "gh");
+  const std::uint8_t* next_storage = next.data();
+  const pc::Bytes back = link.deliver(std::move(next), 24);
+  EXPECT_EQ(back.data(), next_storage);  // appended; the frame returns
+  EXPECT_EQ(block.use_count(), 1u);
+  EXPECT_EQ(text(link.read_available()), "cdefgh");
+}
+
+TEST(LinkOwnership, ReadNReadsAcrossATailAndAnOwnedFrame) {
+  BareLink link;
+  std::vector<std::string> got;
+  auto reader = [&](std::size_t n) -> pc::Task {
+    pc::Bytes b = co_await link.read_n(n);
+    got.emplace_back(b.begin(), b.end());
+  };
+  auto r1 = reader(4);
+  auto r2 = reader(6);
+  const pc::SharedBytes block = shared("abc");
+  link.deliver(framed(24, ""), 24, block);  // too short for the first read
+  EXPECT_TRUE(got.empty());
+  link.deliver(framed(24, "defghij"), 24);
+  EXPECT_EQ(got, (std::vector<std::string>{"abcd", "efghij"}));
+  EXPECT_EQ(block.use_count(), 1u);
+
+  // The other order: a tail behind unread owned bytes is appended.
+  link.deliver(framed(24, "kl"), 24);
+  link.deliver(framed(24, ""), 24, shared("mno"));
+  auto r3 = reader(5);
+  EXPECT_EQ(got.back(), "klmno");
+  EXPECT_EQ(link.available(), 0u);
+}
+
+TEST(LinkOwnership, DatagramModeSeesTheTailFlattened) {
+  BareLink link;
+  std::vector<std::string> seen;
+  link.set_datagram_handler([&](pc::ByteView v) { seen.push_back(text(v)); });
+  const pc::SharedBytes block = shared("lo");
+  link.deliver(framed(24, "hel"), 24, block);
+  link.deliver(framed(24, ""), 24, block);
+  EXPECT_EQ(seen, (std::vector<std::string>{"hello", "lo"}));
+  EXPECT_EQ(block.use_count(), 1u);
+  EXPECT_EQ(link.available(), 0u);
+}
+
+TEST(LinkOwnership, RandomMixOfTailsAndFramesKeepsTheStreamInOrder) {
+  // Owned frames, bare heads with tails and heads carrying both, read
+  // through queued read_n calls, read_available and (every other
+  // trial) a ready handler: the reader sees exactly the bytes sent, in
+  // order.  A view read_available() returned outside a delivery keeps
+  // its tail alive until the next delivery, which drops it.
+  pc::Rng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    BareLink link;
+    std::string sent, got;
+    std::vector<pc::SharedBytes> blocks;
+    std::vector<pc::Task> reads;
+    std::size_t queued = 0;  // read_n calls not yet completed
+    auto reader = [&](std::size_t n) -> pc::Task {
+      pc::Bytes b = co_await link.read_n(n);
+      got += text(pc::view_of(b));
+      --queued;
+    };
+    auto next = [&](std::size_t max) {
+      std::string bytes(rng.uniform_int(1, max), ' ');
+      for (char& c : bytes) {
+        c = static_cast<char>('a' + sent.size() % 26);
+        sent += c;
+      }
+      return bytes;
+    };
+    if (trial % 2 == 1) {
+      link.set_ready_handler([&] {
+        if (rng.uniform() < 0.5) got += text(link.read_available());
+      });
+    }
+    for (int op = 0; op < 40; ++op) {
+      switch (rng.uniform_int(0, 4)) {
+        case 0:
+          link.deliver(framed(24, next(40)), 24);
+          break;
+        case 1:
+          blocks.push_back(shared(next(40)));
+          link.deliver(framed(24, ""), 24, blocks.back());
+          break;
+        case 2: {
+          const std::string head = next(20);
+          blocks.push_back(shared(next(20)));
+          link.deliver(framed(24, head), 24, blocks.back());
+          break;
+        }
+        case 3:
+          ++queued;
+          reads.push_back(reader(rng.uniform_int(1, 60)));
+          break;
+        default:
+          if (queued == 0) got += text(link.read_available());
+          break;
+      }
+    }
+    while (queued > 0) link.deliver(framed(24, next(60)), 24);
+    got += text(link.read_available());
+    ASSERT_EQ(got, sent) << "trial " << trial;
+    link.deliver(framed(24, ""), 24);
+    for (const pc::SharedBytes& b : blocks) {
+      ASSERT_EQ(b.use_count(), 1u) << "trial " << trial;
+    }
+  }
+}
+
+TEST(LinkOwnership, TheTailHandleDoesNotGrowTheLink) {
+#if defined(__GLIBCXX__) && defined(__x86_64__)
+  // A FrameLink must stay in its 208 B malloc chunk.
+  EXPECT_EQ(sizeof(vl::Link), 144u);
+#else
+  GTEST_SKIP() << "size pinned for libstdc++ on x86-64 only";
+#endif
+}
+
+TEST(VLink, SharedWriteIsReadInPlaceWhenACopiedWriteWouldArrive) {
+  // The same 64 KiB reply posted twice, copied on one rig and shared
+  // on a twin: the reader sees the same bytes at the same instants, and
+  // the shared ones in the writer's own block.  On the WAN the second
+  // write is paced behind the first (NetDriver's paced closure).
+  const std::string reply(64 * 1024, 'r');
+  auto run = [&](const sn::LinkModel& model, bool share) {
+    Rig rig(model);
+    auto [a, b] = rig.link_pair("sysio", 4100);
+    const pc::SharedBytes block = shared(reply);
+    std::vector<pc::SimTime> at;
+    std::string got;
+    bool in_place = true;
+    b->set_ready_handler([&] {
+      const pc::ByteView v = b->read_available();
+      at.push_back(rig.engine.now());
+      in_place = in_place && v.data() == block.data();
+      got += text(v);
+    });
+    for (int i = 0; i < 2; ++i) {
+      if (share) {
+        a->post_write(block);
+      } else {
+        a->post_write(pc::view_of(reply));
+      }
+    }
+    rig.engine.run_until_idle();
+    EXPECT_EQ(got, reply + reply);
+    EXPECT_EQ(in_place, share);
+    EXPECT_EQ(block.use_count(), 1u);  // nothing holds it any more
+    EXPECT_EQ(counter(rig, "vlink.tx.bytes"), 2 * reply.size());
+    EXPECT_EQ(counter(rig, "vlink.rx.bytes"), 2 * reply.size());
+    return at;
+  };
+  for (const sn::LinkModel& model :
+       {sn::profiles::ethernet100(), sn::profiles::vthd_wan()}) {
+    const std::vector<pc::SimTime> copied = run(model, false);
+    EXPECT_EQ(copied.size(), 2u) << model.name;
+    EXPECT_EQ(run(model, true), copied) << model.name;
+  }
 }
