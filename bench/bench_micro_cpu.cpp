@@ -9,7 +9,6 @@
 #include "core/engine.hpp"
 #include "core/rng.hpp"
 #include "middleware/corba/cdr.hpp"
-#include "middleware/soap/xml.hpp"
 
 namespace pc = padico::core;
 namespace cz = padico::compress;
@@ -110,27 +109,13 @@ void BM_RleRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_RleRoundTrip)->Arg(65536);
 
-void BM_SoapEnvelope(benchmark::State& state) {
-  for (auto _ : state) {
-    padico::soap::XmlNode env{
-        "SOAP-ENV:Envelope",
-        "",
-        {{"SOAP-ENV:Body",
-          "",
-          {{"monitor", "", {{"job", "17", {}}, {"what", "progress", {}}}}}}}};
-    std::string xml = padico::soap::to_xml(env);
-    benchmark::DoNotOptimize(padico::soap::parse_xml(xml));
-  }
-}
-BENCHMARK(BM_SoapEnvelope);
-
-void BM_Xoshiro(benchmark::State& state) {
+void BM_Rng(benchmark::State& state) {
   pc::Rng rng(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(rng.next_u64());
   }
 }
-BENCHMARK(BM_Xoshiro);
+BENCHMARK(BM_Rng);
 
 }  // namespace
 

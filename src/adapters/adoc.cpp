@@ -92,9 +92,7 @@ AdocLink::AdocLink(core::Engine& engine, core::NodeId remote_node,
       engine_(&engine),
       base_(std::move(base)),
       net_(net),
-      self_(self),
-      tx_cpu_(engine),
-      rx_cpu_(engine) {
+      self_(self) {
   // The wire rate compression must beat: the per-stream cap when the
   // profile has one (a window-limited WAN socket), else the NIC rate.
   if (net_ != nullptr) {
@@ -195,7 +193,7 @@ void AdocLink::send_bytes(core::ByteView data) {
   // Charge the encode on the serialized tx CPU; the frame reaches the
   // base link when the work completes (monotone, so frames stay FIFO).
   const core::Duration cost = cz::encode_cost(level, data.size());
-  const core::SimTime done = tx_cpu_.reserve(cost);
+  const core::SimTime done = tx_cpu_.reserve(engine_->now(), cost);
   engine_->tracer().complete(obs::Cat::vlink, trace_encode_, done - cost,
                              cost, static_cast<std::uint32_t>(level),
                              data.size());
@@ -227,7 +225,7 @@ void AdocLink::on_frame(core::ByteView frame) {
   // Charge the decode on the serialized rx CPU; deliver when the work
   // completes (monotone, so the stream order is preserved).
   const core::Duration cost = cz::decode_cost(h->level, raw->size());
-  const core::SimTime done = rx_cpu_.reserve(cost);
+  const core::SimTime done = rx_cpu_.reserve(engine_->now(), cost);
   engine_->tracer().complete(obs::Cat::vlink, trace_decode_, done - cost,
                              cost, static_cast<std::uint32_t>(h->level),
                              raw->size());

@@ -15,22 +15,18 @@ namespace padico::core {
 /// Coarse outcome classification shared by all layers.
 enum class Status {
   ok,
-  eof,
   refused,      // remote had no listener on the port
   unreachable,  // no common network / driver to the remote node
   timeout,
-  cancelled,
   error,  // anything else; see Error::message
 };
 
 constexpr const char* to_string(Status s) {
   switch (s) {
     case Status::ok: return "ok";
-    case Status::eof: return "eof";
     case Status::refused: return "refused";
     case Status::unreachable: return "unreachable";
     case Status::timeout: return "timeout";
-    case Status::cancelled: return "cancelled";
     case Status::error: return "error";
   }
   return "unknown";

@@ -3,10 +3,9 @@
 namespace padico::core {
 
 std::uint64_t Rng::next_u64() {
-  std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  const std::uint64_t z = mix64(state_);
+  state_ += 0x9e3779b97f4a7c15ull;
+  return z;
 }
 
 double Rng::uniform() {

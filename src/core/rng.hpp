@@ -8,6 +8,16 @@
 
 namespace padico::core {
 
+/// One splitmix64 step: the output for generator state `x`.  Rng draws
+/// its stream with it, and the flat hash tables (net::SeqBook,
+/// vlink::FrameDriver's connection index) spread their keys with it.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : state_(seed) {}

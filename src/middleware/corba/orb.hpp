@@ -87,7 +87,7 @@ struct Reply {
 /// One real ORB implementation's identity + cost profile.
 struct OrbProfile {
   std::string name;
-  middleware::CostModel costs;
+  core::CostModel costs;
 
   /// Copying marshaler (Mico, ORBacus) or zero-copy (omniORB)?
   bool copying() const noexcept { return costs.copy_bytes_per_second != 0; }

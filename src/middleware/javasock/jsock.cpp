@@ -4,7 +4,7 @@
 
 namespace padico::jsock {
 
-middleware::CostModel jvm_costs() {
+core::CostModel jvm_costs() {
   // Table 1's Java row: ~40 us one-way against VLink's 10.2 — the JVM
   // pays a hefty JNI crossing + heap copy on both ends of every call,
   // but bulk data still streams near the wire rate (the heap copy

@@ -33,14 +33,13 @@
 namespace padico::jsock {
 
 /// JVM socket-path cost: JNI crossing + heap<->native copy per call.
-middleware::CostModel jvm_costs();
+core::CostModel jvm_costs();
 
 /// The per-node JVM runtime personality: the serialized CPU every
 /// Java socket of that node charges its costs to.
 class Jvm final : public middleware::Personality {
  public:
-  explicit Jvm(core::Engine& engine,
-               middleware::CostModel costs = jvm_costs())
+  explicit Jvm(core::Engine& engine, core::CostModel costs = jvm_costs())
       : Personality("jvm", std::move(costs), engine) {}
 };
 

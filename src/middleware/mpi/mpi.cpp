@@ -6,14 +6,14 @@
 
 namespace padico::mpi {
 
-middleware::CostModel mpich_costs() {
+core::CostModel mpich_costs() {
   // Table 1: MPICH-1.2.5 one-way 12.06 us against Circuit's 8.4 — the
   // ch_mad device adds ~4 us of request bookkeeping per message,
   // split across sender and receiver; bulk data stays zero-copy.
   return {"MPICH-1.2.5", core::nanoseconds(2300), core::nanoseconds(1800), 0};
 }
 
-Comm::Comm(circuit::Circuit& endpoint, middleware::CostModel costs)
+Comm::Comm(circuit::Circuit& endpoint, core::CostModel costs)
     : Personality("mpi", std::move(costs),
                   endpoint.access().host().engine()),
       ep_(&endpoint),
@@ -25,7 +25,7 @@ Comm::Comm(circuit::Circuit& endpoint, middleware::CostModel costs)
 }
 
 Comm::Comm(std::unique_ptr<vlink::Link> stream, int rank,
-           core::Engine& engine, middleware::CostModel costs)
+           core::Engine& engine, core::CostModel costs)
     : Personality("mpi", std::move(costs), engine),
       stream_(std::move(stream)),
       rank_(rank),

@@ -47,7 +47,7 @@ namespace padico::mpi {
 
 /// MPICH-1.2.5 over the ch_mad device: a few microseconds of request
 /// bookkeeping per message on each side, effectively zero-copy bulk.
-middleware::CostModel mpich_costs();
+core::CostModel mpich_costs();
 
 class Comm final : public middleware::Personality {
  public:
@@ -55,12 +55,12 @@ class Comm final : public middleware::Personality {
   /// per CircuitSet member for a full communicator).  The endpoint's
   /// receive handler is taken over until destruction.
   explicit Comm(circuit::Circuit& endpoint,
-                middleware::CostModel costs = mpich_costs());
+                core::CostModel costs = mpich_costs());
 
   /// A two-rank communicator over a connected stream (the WAN
   /// fallback): this end is `rank` (0 or 1), the peer is the other.
   Comm(std::unique_ptr<vlink::Link> stream, int rank, core::Engine& engine,
-       middleware::CostModel costs = mpich_costs());
+       core::CostModel costs = mpich_costs());
 
   ~Comm();
 

@@ -1,16 +1,12 @@
 #include "middleware/personality.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace padico::middleware {
 
-Personality::Personality(std::string name, CostModel costs,
+Personality::Personality(std::string name, core::CostModel costs,
                          core::Engine& engine)
-    : name_(std::move(name)),
-      costs_(std::move(costs)),
-      engine_(&engine),
-      clock_(engine) {
+    : name_(std::move(name)), costs_(std::move(costs)), engine_(&engine) {
   obs_cpu_ns_ = &engine.obs().counter("cpu." + name_ + ".ns");
   trace_send_ = engine.tracer().intern(name_ + ".send");
   trace_recv_ = engine.tracer().intern(name_ + ".recv");
@@ -20,11 +16,10 @@ core::SimTime Personality::charge(core::Duration cost, const char* trace_name,
                                   std::uint64_t bytes) {
   // The span covers the CPU slice the clock actually reserves, which
   // starts only once the previous charge has drained.
-  const core::SimTime start = std::max(engine_->now(), clock_.free_at());
-  const core::SimTime done = clock_.reserve(cost);
+  const core::SimTime done = clock_.reserve(engine_->now(), cost);
   obs_cpu_ns_->add(static_cast<std::uint64_t>(cost));
-  engine_->tracer().complete(obs::Cat::personality, trace_name, start, cost, 0,
-                             bytes);
+  engine_->tracer().complete(obs::Cat::personality, trace_name, done - cost,
+                             cost, 0, bytes);
   return done;
 }
 

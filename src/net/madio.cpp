@@ -108,15 +108,14 @@ void MadIO::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
     dispatch(tag, src, std::move(handle));
     return;
   }
+  // Accept only the control header this mode sends (both ends of a
+  // grid share the mode): a `header` frame reaching a combining MadIO
+  // would hand the sender's next message, whole, to its tag.
+  const wire::FrameType sent =
+      combining_ ? wire::FrameType::data : wire::FrameType::header;
   const std::optional<wire::Header> h =
       wire::decode(handle.unpack(wire::kHeaderSize));
-  if (!h) {
-    ++dropped_;
-    obs_dropped_->add();
-    return;
-  }
-  if (h->type != wire::FrameType::header &&
-      h->type != wire::FrameType::data) {
+  if (!h || h->type != sent) {
     ++dropped_;
     obs_dropped_->add();
     return;
@@ -124,7 +123,7 @@ void MadIO::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
   // The sender stamps a contiguous per-(tag, destination) sequence into
   // conn_id; on a reliable SAN it must arrive gap-free.
   seq_.observe({h->dst_port, src}, h->conn_id);
-  if (h->type == wire::FrameType::header) {
+  if (!combining_) {
     pending_[src] = *h;  // payload message follows on the same FIFO
     return;
   }

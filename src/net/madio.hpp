@@ -13,6 +13,9 @@
 //     message — every send pays a full extra per-message cost, which is
 //     exactly what the section 4.1 ablation measures.
 //
+// Both ends of a grid run the same mode, so a receiver drops (and
+// counts in dropped()) any control header of the other mode's type.
+//
 // Received messages are not dispatched inline: MadIO hands them to the
 // node's NetAccess, whose Arbitration decides when the tag handler
 // runs relative to IP-side traffic.

@@ -24,18 +24,9 @@
 #include <utility>
 #include <vector>
 
-namespace padico::net {
+#include "core/rng.hpp"
 
-/// Hash for packed SeqBook keys: a splitmix-style finalizer, so (tag,
-/// node) pairs that differ only in the low bits still spread.
-struct SeqKeyHash {
-  static std::uint64_t mix(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-};
+namespace padico::net {
 
 /// `Key` is an integral type of at most 64 bits or a pair of integral
 /// types of at most 32 bits each; either packs into one 64-bit word
@@ -103,7 +94,8 @@ class SeqBook {
   /// The slot holding `key`, or the empty one where it belongs.
   static Slot* probe(std::vector<Slot>& slots, std::uint64_t key) noexcept {
     const std::size_t mask = slots.size() - 1;
-    std::size_t i = static_cast<std::size_t>(SeqKeyHash::mix(key)) & mask;
+    // Keys that differ only in their low bits (tag, node) still spread.
+    std::size_t i = static_cast<std::size_t>(core::mix64(key)) & mask;
     while (slots[i].used && slots[i].key != key) i = (i + 1) & mask;
     return &slots[i];
   }

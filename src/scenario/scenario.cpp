@@ -18,7 +18,7 @@ namespace {
 /// flavor pays the JNI/serialization crossings of Table 1; SOAP pays
 /// XML marshalling CPU and a fat envelope on the wire.
 struct FlavorProfile {
-  middleware::CostModel cost;
+  core::CostModel cost;
   std::uint32_t envelope;
 };
 
@@ -444,21 +444,15 @@ void Scenario::apply_churn(const ChurnEvent& ev) {
 // Virtual CPU
 // ---------------------------------------------------------------------------
 
-core::SimTime Scenario::cpu_reserve(core::NodeId node, core::Duration cost) {
-  if (node >= cpu_free_.size()) cpu_free_.resize(node + 1, 0);
-  core::SimTime& free_at = cpu_free_[node];
-  const core::SimTime start = std::max(grid_.engine().now(), free_at);
-  free_at = start + cost;
-  return free_at;
-}
-
 void Scenario::after_cpu(core::NodeId node, core::Duration cost,
                          core::EventFn fn) {
   if (cost == 0) {
     fn();
     return;
   }
-  grid_.engine().schedule_at(cpu_reserve(node, cost), std::move(fn));
+  if (node >= cpu_.size()) cpu_.resize(node + 1);
+  core::Engine& eng = grid_.engine();
+  eng.schedule_at(cpu_[node].reserve(eng.now(), cost), std::move(fn));
 }
 
 // ---------------------------------------------------------------------------

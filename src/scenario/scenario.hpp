@@ -32,6 +32,11 @@
 // once (`core::SharedBytes`): every write posts a handle to them, and
 // on the IP drivers they reach the reading link with no host copy.
 //
+// A flavor is a cost profile, not a personality: its core::CostModel
+// prices each request and reply, and the charge queues on the node's
+// own core::CostClock.  The scenario sits on the grid beside the
+// middleware personalities and uses none of them.
+//
 // A Scenario is single-shot: construct, run(), read the Report.
 // Replay = construct a second Scenario from the same spec.
 #pragma once
@@ -44,10 +49,10 @@
 #include <vector>
 
 #include "core/bytes.hpp"
+#include "core/cost_clock.hpp"
 #include "core/rng.hpp"
 #include "core/time.hpp"
 #include "grid/grid.hpp"
-#include "middleware/personality.hpp"
 #include "obs/registry.hpp"
 #include "scenario/arrival.hpp"
 #include "scenario/spec.hpp"
@@ -217,9 +222,6 @@ class Scenario {
   /// Run `fn` once `cost` of `node`'s serialized virtual CPU has been
   /// reserved (immediately when cost == 0).
   void after_cpu(core::NodeId node, core::Duration cost, core::EventFn fn);
-  /// Reserve `cost` of CPU on `node` (monotone per node); returns the
-  /// completion instant.  Same semantics as core::CostClock.
-  core::SimTime cpu_reserve(core::NodeId node, core::Duration cost);
 
   void fold(std::uint64_t v) noexcept;
 
@@ -248,14 +250,13 @@ class Scenario {
   core::Rng churn_rng_;
 
   // Flavor: per-message CPU model + envelope bytes on the wire.
-  middleware::CostModel cost_;
+  core::CostModel cost_;
   std::uint32_t envelope_ = 0;
   std::uint32_t request_wire_ = 0;
   std::uint32_t reply_wire_ = 0;
-  // Per-node CPU availability, indexed by node id (dense, grown on
-  // demand) — replaces a std::map of CostClocks on the hottest
-  // scenario path (every request/reply charges CPU).
-  std::vector<core::SimTime> cpu_free_;
+  // Per-node serialized CPU, indexed by node id (dense, grown on
+  // demand): every request and reply charges one.
+  std::vector<core::CostClock> cpu_;
   // The wire bytes every request and reply carries, built once and
   // never changed: each write posts a shared handle, so the bytes ride
   // by reference from the writer's link to the reader's.  A request's

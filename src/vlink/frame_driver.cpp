@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "core/rng.hpp"
+
 namespace padico::vlink {
 
 // ---------------------------------------------------------------------------
@@ -76,21 +78,10 @@ class FrameDriver::FrameLink final : public Link {
 // ConnIndex
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// splitmix64's finalizer (as net::SeqKeyHash): connection ids differ
-/// mostly in their low counter bits, and this spreads them.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 std::size_t FrameDriver::ConnIndex::home(std::uint64_t id) const noexcept {
-  return static_cast<std::size_t>(mix(id)) & (slots_.size() - 1);
+  // Connection ids differ mostly in their low counter bits; mix64
+  // spreads them.
+  return static_cast<std::size_t>(core::mix64(id)) & (slots_.size() - 1);
 }
 
 std::size_t FrameDriver::ConnIndex::locate(std::uint64_t id) const noexcept {

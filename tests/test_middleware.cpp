@@ -1,6 +1,6 @@
-// The middleware personalities layer: the Personality base's CostModel
-// charging, and the MPI / CORBA / Java-socket / SOAP personalities end
-// to end on the paper testbed.
+// The middleware personalities layer: core::CostModel pricing and
+// core::CostClock charging through the Personality base, and the MPI /
+// CORBA / Java-socket personalities end to end on the paper testbed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "middleware/javasock/jsock.hpp"
 #include "middleware/mpi/mpi.hpp"
 #include "middleware/personality.hpp"
-#include "middleware/soap/xml.hpp"
 #include "selector/selector.hpp"
 #include "simnet/simnet.hpp"
 #include "vlink/frame_driver.hpp"
@@ -42,11 +41,11 @@ std::string text(const pc::Bytes& b) { return std::string(b.begin(), b.end()); }
 // --- Personality base: cost charging ----------------------------------------
 
 TEST(Personality, CostModelMath) {
-  mw::CostModel zero_copy{"zc", pc::microseconds(2), pc::microseconds(3), 0};
+  pc::CostModel zero_copy{"zc", pc::microseconds(2), pc::microseconds(3), 0};
   EXPECT_EQ(zero_copy.send_cost(1 << 20), pc::microseconds(2));
   EXPECT_EQ(zero_copy.recv_cost(1 << 20), pc::microseconds(3));
 
-  mw::CostModel copying{"cp", pc::microseconds(2), pc::microseconds(3),
+  pc::CostModel copying{"cp", pc::microseconds(2), pc::microseconds(3),
                         50'000'000};  // 50 MB/s marshal pass
   // 1 MB at 50 MB/s is ~21 ms of copy on top of the fixed overhead.
   EXPECT_EQ(copying.copy_cost(50'000'000), pc::seconds(1));
@@ -55,12 +54,35 @@ TEST(Personality, CostModelMath) {
 }
 
 TEST(Personality, CostClockSerializesCharges) {
-  pc::Engine engine;
-  pc::CostClock clock(engine);
-  const pc::SimTime a = clock.reserve(pc::microseconds(5));
-  const pc::SimTime b = clock.reserve(pc::microseconds(5));
+  pc::CostClock clock;
+  const pc::SimTime a = clock.reserve(0, pc::microseconds(5));
+  const pc::SimTime b = clock.reserve(0, pc::microseconds(5));
   EXPECT_EQ(a, pc::microseconds(5));
   EXPECT_EQ(b, pc::microseconds(10));  // queued behind the first charge
+  // Idle again by 30 us: the next charge starts at the now it is given.
+  EXPECT_EQ(clock.reserve(pc::microseconds(30), pc::microseconds(5)),
+            pc::microseconds(35));
+}
+
+TEST(Personality, BackToBackChargesTraceQueuedSpans) {
+  struct Probe final : mw::Personality {
+    explicit Probe(pc::Engine& engine)
+        : Personality("probe",
+                      {"probe", pc::microseconds(3), pc::microseconds(4), 0},
+                      engine) {}
+  };
+  pc::Engine engine;
+  engine.tracer().enable(padico::obs::kAllCats);
+  Probe probe(engine);
+  EXPECT_EQ(probe.charge_send(64), pc::microseconds(3));
+  EXPECT_EQ(probe.charge_recv(64), pc::microseconds(7));
+  // The second span starts where the first charge's CPU slice ends.
+  const std::vector<padico::obs::TraceEvent> spans = engine.tracer().events();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].ts, 0u);
+  EXPECT_EQ(spans[0].dur, pc::microseconds(3));
+  EXPECT_EQ(spans[1].ts, pc::microseconds(3));
+  EXPECT_EQ(spans[1].dur, pc::microseconds(4));
 }
 
 // --- MPI --------------------------------------------------------------------
@@ -420,69 +442,6 @@ TEST(Jsock, SharedJvmSerializes) {
   auto t = cli();
   grid.engine().run_while_pending([&] { return done && server; });
   EXPECT_TRUE(done);
-}
-
-// --- SOAP -------------------------------------------------------------------
-
-TEST(Soap, EnvelopeRoundTrips) {
-  padico::soap::XmlNode env{
-      "SOAP-ENV:Envelope",
-      "",
-      {{"SOAP-ENV:Body",
-        "",
-        {{"monitor", "", {{"job", "17", {}}, {"what", "progress", {}}}}}}}};
-  const std::string xml = padico::soap::to_xml(env);
-  auto back = padico::soap::parse_xml(xml);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, env);
-}
-
-TEST(Soap, EscapingRoundTrips) {
-  padico::soap::XmlNode node{"note", "a < b && \"c\" > 'd'", {}};
-  auto back = padico::soap::parse_xml(padico::soap::to_xml(node));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, node);
-}
-
-TEST(Soap, DeclarationAndCommentAreSkipped) {
-  auto doc = padico::soap::parse_xml(
-      "<?xml version=\"1.0\"?><!-- generated --><a><b/></a>");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->name, "a");
-  ASSERT_EQ(doc->children.size(), 1u);
-  EXPECT_EQ(doc->children[0].name, "b");
-}
-
-TEST(Soap, MalformedDocumentsAreRejected) {
-  using padico::soap::parse_xml;
-  EXPECT_FALSE(parse_xml("").has_value());
-  EXPECT_FALSE(parse_xml("plain text").has_value());
-  EXPECT_FALSE(parse_xml("<a>").has_value());            // truncated
-  EXPECT_FALSE(parse_xml("<a></b>").has_value());        // mismatched
-  EXPECT_FALSE(parse_xml("<a></a><b/>").has_value());    // two roots
-  EXPECT_FALSE(parse_xml("<a x=\"1\"/>").has_value());   // attributes
-  EXPECT_FALSE(parse_xml("<a>&unknown;</a>").has_value());
-  EXPECT_FALSE(parse_xml("<1bad/>").has_value());        // invalid name
-  EXPECT_FALSE(parse_xml("<a><![CDATA[x]]></a>").has_value());
-  EXPECT_FALSE(parse_xml("<?xml never closed").has_value());
-  EXPECT_FALSE(parse_xml("<a/><!--truncated").has_value());
-  EXPECT_FALSE(parse_xml("<a/><?truncated").has_value());
-}
-
-TEST(Soap, NestedBombIsRejectedNotCrashed) {
-  std::string open, close;
-  for (int i = 0; i < 2 * padico::soap::kMaxDepth; ++i) {
-    open += "<d>";
-    close += "</d>";
-  }
-  EXPECT_FALSE(padico::soap::parse_xml(open + close).has_value());
-  // At the limit boundary, parsing still succeeds.
-  std::string ok_open, ok_close;
-  for (int i = 0; i < padico::soap::kMaxDepth - 1; ++i) {
-    ok_open += "<d>";
-    ok_close += "</d>";
-  }
-  EXPECT_TRUE(padico::soap::parse_xml(ok_open + ok_close).has_value());
 }
 
 // --- CDR --------------------------------------------------------------------

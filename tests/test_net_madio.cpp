@@ -393,6 +393,34 @@ TEST(MadIO, UnknownTagIsDroppedCleanly) {
   EXPECT_EQ(s.io1->dropped(), 1u);
 }
 
+TEST(MadIO, ControlHeaderOfTheOtherModeIsDropped) {
+  // A forged `header` frame must not claim the sender's next combined
+  // message for its tag, nor a forged `data` frame reach a tag of a
+  // naive MadIO.
+  for (const bool combining : {true, false}) {
+    Stack s(combining);
+    std::string real;
+    int forged = 0;
+    s.io1->set_handler(5, [&](pc::NodeId, md::UnpackHandle& u) {
+      const pc::ByteView v = u.remaining_view();
+      real.assign(v.begin(), v.end());
+    });
+    s.io1->set_handler(9, [&](pc::NodeId, md::UnpackHandle&) { ++forged; });
+    md::Channel bootstrap{0};  // MadIO's channel
+    md::PackHandle h = s.m0->begin_packing(bootstrap, 1);
+    h.pack(vl::wire::encode(net::tagged_header(
+        9, 0, 1,
+        combining ? vl::wire::FrameType::header : vl::wire::FrameType::data)));
+    s.m0->end_packing(std::move(h));
+    s.io0->send(5, 1, pc::view_of("real"));
+    s.engine.run_until_idle();
+    EXPECT_EQ(real, "real") << "combining " << combining;
+    EXPECT_EQ(forged, 0) << "combining " << combining;
+    EXPECT_EQ(s.io1->dropped(), 1u) << "combining " << combining;
+    EXPECT_EQ(s.io1->seq_gaps(), 0u) << "combining " << combining;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SeqBook
 // ---------------------------------------------------------------------------

@@ -571,117 +571,3 @@ TEST(WireFuzz, SanStackSurvivesGarbageFrames) {
   EXPECT_EQ(io.dropped(), 3u);
   EXPECT_EQ(io.seq_gaps(), 0u);
 }
-
-// ---------------------------------------------------------------------------
-// SOAP XML parser fuzz (the codec of the web-services personality).
-// Same contract as the wire codecs above: malformed, truncated and
-// nested-bomb documents must be rejected with nullopt — never a
-// crash, an out-of-bounds read or unbounded recursion.
-// ---------------------------------------------------------------------------
-
-#include "middleware/soap/xml.hpp"
-
-namespace {
-
-namespace soap = padico::soap;
-
-/// Random tree within the serializer's vocabulary.
-soap::XmlNode random_tree(pc::Rng& rng, int depth) {
-  static const char* names[] = {"Envelope", "Body", "monitor", "job",
-                                "a-b.c:d", "_x"};
-  soap::XmlNode node;
-  node.name = names[rng.uniform_int(0, 5)];
-  const int text_len = static_cast<int>(rng.uniform_int(0, 12));
-  const std::string alphabet = "ab<>&\"' 17%";
-  for (int i = 0; i < text_len; ++i) {
-    node.text += alphabet[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::uint32_t>(alphabet.size() - 1)))];
-  }
-  if (depth < 4) {
-    const int kids = static_cast<int>(rng.uniform_int(0, 3));
-    for (int i = 0; i < kids; ++i) {
-      node.children.push_back(random_tree(rng, depth + 1));
-    }
-  }
-  return node;
-}
-
-}  // namespace
-
-TEST(SoapFuzz, RandomTreesRoundTrip) {
-  pc::Rng rng(0x5eed0005);
-  for (int i = 0; i < 500; ++i) {
-    const soap::XmlNode tree = random_tree(rng, 0);
-    const std::string xml = soap::to_xml(tree);
-    const std::optional<soap::XmlNode> back = soap::parse_xml(xml);
-    ASSERT_TRUE(back.has_value()) << "iteration " << i << ": " << xml;
-    EXPECT_EQ(*back, tree) << "iteration " << i;
-  }
-}
-
-TEST(SoapFuzz, GarbageDocumentsParseCleanlyOrNotAtAll) {
-  pc::Rng rng(0x5eed0006);
-  int parsed = 0;
-  // Markup-fragment soup: most combinations are malformed, but enough
-  // are well-formed to exercise the accept path too.
-  static const char* fragments[] = {"<a>", "</a>", "<b>",  "</b>", "<c/>",
-                                    "&amp;", "&zz;", "text", "<",   ">",
-                                    "</",    "<!--", "-->",  "<?x?>", " "};
-  for (int i = 0; i < 3000; ++i) {
-    std::string junk;
-    const int parts = static_cast<int>(rng.uniform_int(0, 10));
-    for (int p = 0; p < parts; ++p) {
-      junk += fragments[rng.uniform_int(0, 14)];
-    }
-    const std::optional<soap::XmlNode> doc = soap::parse_xml(junk);
-    if (doc.has_value()) {
-      ++parsed;
-      // Whatever parsed must re-serialize to a document that parses to
-      // the same tree (the parser accepts only its own vocabulary).
-      const std::optional<soap::XmlNode> again =
-          soap::parse_xml(soap::to_xml(*doc));
-      ASSERT_TRUE(again.has_value()) << "iteration " << i;
-      EXPECT_EQ(*again, *doc) << "iteration " << i;
-    }
-  }
-  // The corpus is markup-biased, so a few random docs should parse;
-  // if none ever does, the fuzz lost its teeth.
-  EXPECT_GT(parsed, 0);
-}
-
-TEST(SoapFuzz, MutatedAndTruncatedEnvelopesNeverCrash) {
-  pc::Rng rng(0x5eed0007);
-  const soap::XmlNode env{
-      "Envelope", "", {{"Body", "", {{"job", "17 & 18 < 19", {}}}}}};
-  const std::string xml = soap::to_xml(env);
-  for (std::size_t n = 0; n <= xml.size(); ++n) {
-    (void)soap::parse_xml(std::string_view(xml).substr(0, n));  // truncations
-  }
-  for (int i = 0; i < 2000; ++i) {
-    std::string mutated = xml;
-    const int flips = static_cast<int>(rng.uniform_int(1, 4));
-    for (int f = 0; f < flips; ++f) {
-      mutated[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::uint32_t>(mutated.size() - 1)))] =
-          static_cast<char>(rng.uniform_int(1, 255));
-    }
-    const std::optional<soap::XmlNode> doc = soap::parse_xml(mutated);
-    if (doc.has_value()) {
-      EXPECT_TRUE(soap::parse_xml(soap::to_xml(*doc)).has_value());
-    }
-  }
-}
-
-TEST(SoapFuzz, NestedBombsAreRejectedWithoutDeepRecursion) {
-  // Far beyond kMaxDepth: the parser must bail at the limit, not
-  // recurse 100k frames deep.
-  std::string bomb;
-  for (int i = 0; i < 100'000; ++i) bomb += "<d>";
-  EXPECT_FALSE(soap::parse_xml(bomb).has_value());
-  // Unclosed-entity and never-ending-comment bombs too.
-  EXPECT_FALSE(soap::parse_xml("<!--" + bomb).has_value());
-  EXPECT_FALSE(soap::parse_xml("<?" + bomb).has_value());
-  std::string amps("<a>");
-  amps.append(10'000, '&');
-  EXPECT_FALSE(soap::parse_xml(amps).has_value());
-}
