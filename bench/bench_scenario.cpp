@@ -19,14 +19,14 @@
 // tight.  Host cost of the large run lands next to them: wall time and
 // sessions per wall second (info — machine-dependent), and heap
 // allocations per session, counted by this file's replacement of the
-// global operator new (deterministic for a given toolchain and seed,
-// so it is max-gated).  The same counter prices building the large
-// grid: allocations per node during the Scenario's construction
-// (max-gated) and the bytes they request per node (info).  It also
-// keeps the live heap, the usable size of every block `new` handed
-// out and `delete` has not taken back, and its high-water mark over
-// the large run, construction included: the peak heap (max-gated, the
-// deterministic stand-in for peak RSS).  The san scale runs once and
+// global operator new, over-aligned forms included (deterministic for
+// a given toolchain and seed, so it is max-gated).  The same counter
+// prices building the large grid: allocations per node during the
+// Scenario's construction (max-gated) and the bytes they request per
+// node (info).  It also keeps the live heap, the usable size of every
+// block `new` handed out and `delete` has not taken back, and its
+// high-water mark over the large run, construction included: the peak
+// heap (max-gated, the deterministic stand-in for peak RSS).  The san scale runs once and
 // reports its allocations per session too: the SAN path's own
 // host-work gate.  The bulk scale runs once and reports allocations,
 // bytes requested per session and its peak heap: a host copy of the
@@ -55,6 +55,16 @@ std::uint64_t g_alloc_bytes = 0;
 std::size_t g_live_bytes = 0;
 std::size_t g_peak_bytes = 0;
 
+// Count a block malloc handed out for a request of `n` bytes.
+void* count_block(void* p, std::size_t n) {
+  if (p == nullptr) throw std::bad_alloc();
+  ++g_allocs;
+  g_alloc_bytes += n;
+  g_live_bytes += malloc_usable_size(p);
+  g_peak_bytes = std::max(g_peak_bytes, g_live_bytes);
+  return p;
+}
+
 void free_block(void* p) noexcept {
   if (p) g_live_bytes -= malloc_usable_size(p);
   std::free(p);
@@ -63,18 +73,22 @@ void free_block(void* p) noexcept {
 }  // namespace
 
 void* operator new(std::size_t n) {
-  ++g_allocs;
-  g_alloc_bytes += n;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) {
-    g_live_bytes += malloc_usable_size(p);
-    g_peak_bytes = std::max(g_peak_bytes, g_live_bytes);
-    return p;
-  }
-  throw std::bad_alloc();
+  return count_block(std::malloc(n == 0 ? 1 : n), n);
 }
 
 void operator delete(void* p) noexcept { free_block(p); }
 void operator delete(void* p, std::size_t) noexcept { free_block(p); }
+
+// Over-aligned allocations (the engine's event-node chunks) count too.
+void* operator new(std::size_t n, std::align_val_t align) {
+  const auto a = static_cast<std::size_t>(align);
+  return count_block(std::aligned_alloc(a, (n + a - 1) / a * a), n);
+}
+
+void operator delete(void* p, std::align_val_t) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  free_block(p);
+}
 
 namespace {
 

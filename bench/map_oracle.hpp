@@ -5,7 +5,7 @@
 // one tree node per event, plus the std::function's own allocation
 // when a capture outgrows its small buffer.  Pop order is strictly
 // increasing (time, seq): non-decreasing time, FIFO within an instant,
-// past timestamps clamped to now.  `core::Engine`'s calendar queue must
+// past timestamps clamped to now.  `core::Engine`'s timing wheel must
 // reproduce that order exactly.
 //
 // Two users share it: `test_event_queue` drives the same seeded

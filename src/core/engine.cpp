@@ -2,12 +2,6 @@
 
 namespace padico::core {
 
-void Engine::schedule_at(SimTime t, EventFn fn) {
-  if (t < now_) t = now_;
-  queue_.push(t, seq_++, std::move(fn));
-  pending_gauge_->set(static_cast<std::int64_t>(queue_.size()));
-}
-
 void Engine::publish_queue_gauges() noexcept {
   pending_gauge_->set(static_cast<std::int64_t>(queue_.size()));
   ring_gauge_->set(static_cast<std::int64_t>(queue_.ring_size()));
@@ -16,13 +10,18 @@ void Engine::publish_queue_gauges() noexcept {
 }
 
 bool Engine::step() {
-  SimTime t;
-  EventFn fn;
-  if (!queue_.pop(t, fn)) return false;
+  SimTime t = 0;
+  const std::uint32_t node = queue_.pop(t);
+  if (node == EventQueue::kNone) return false;
   now_ = t;
   ++processed_;
   events_counter_->add();
-  fn();
+  struct Release {
+    EventQueue& queue;
+    std::uint32_t node;
+    ~Release() { queue.release(node); }
+  } release{queue_, node};
+  queue_.fn(node)();
   return true;
 }
 

@@ -6,9 +6,10 @@
 // produces a bit-identical event trace on every run — the property all
 // reproduction benchmarks rely on.  See DESIGN.md "Timing model".
 //
-// The queue is a two-level calendar queue (near-future ring of per-ns
-// buckets + far-future heap; see core/event_queue.hpp) with pooled,
-// allocation-free event nodes.  See DESIGN.md "Engine internals".
+// The queue is a three-level timing wheel (a ring of per-ns buckets, a
+// coarse wheel of ring-wide slots and a far heap; see
+// core/event_queue.hpp).  A closure is built straight into its pooled
+// node and runs there.  See DESIGN.md "Engine internals".
 #pragma once
 
 #include <cstddef>
@@ -26,8 +27,7 @@ namespace padico::core {
 class Engine {
  public:
   /// Event closure: 48 bytes of inline capture, heap fallback beyond
-  /// (see core/inplace_fn.hpp).  Move-only; copies in from lvalue
-  /// callables like std::function did.
+  /// (see core/inplace_fn.hpp).  Move-only.
   using EventFn = core::EventFn;
 
   /// Default-constructed engines take the process-wide
@@ -43,14 +43,28 @@ class Engine {
 
   /// Schedule `fn` at absolute instant `t`.  A timestamp in the past is
   /// clamped to `now()` (the event still runs after the current one).
-  void schedule_at(SimTime t, EventFn fn);
+  /// The callable is built in its queue node: copied from an lvalue,
+  /// moved from an rvalue, like std::function (an EventFn argument must
+  /// be an rvalue).
+  template <typename F>
+  void schedule_at(SimTime t, F&& fn) {
+    if (t < now_) t = now_;
+    queue_.push(t, seq_++, std::forward<F>(fn));
+    pending_gauge_->set(static_cast<std::int64_t>(queue_.size()));
+  }
 
   /// Schedule `fn` at `now() + d`.
-  void schedule_after(Duration d, EventFn fn) { schedule_at(now_ + d, std::move(fn)); }
+  template <typename F>
+  void schedule_after(Duration d, F&& fn) {
+    schedule_at(now_ + d, std::forward<F>(fn));
+  }
 
   /// Schedule `fn` at the current instant (after already-queued
   /// same-instant events).
-  void post(EventFn fn) { schedule_at(now_, std::move(fn)); }
+  template <typename F>
+  void post(F&& fn) {
+    schedule_at(now_, std::forward<F>(fn));
+  }
 
   /// True while at least one event is queued.
   bool pending() const noexcept { return !queue_.empty(); }
@@ -85,8 +99,9 @@ class Engine {
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
 
-  /// Dispatch the earliest event, advancing `now()`.  Returns false if
-  /// the queue was empty.
+  /// Dispatch the earliest event, advancing `now()`: its closure runs
+  /// in its queue node, which is freed afterwards (also when the
+  /// closure throws).  Returns false if the queue was empty.
   bool step();
 
   /// Dispatch events until the queue is empty.  Returns the number of

@@ -5,6 +5,14 @@
 
 namespace padico::core {
 
+namespace {
+
+constexpr auto heap_later = [](const auto& a, const auto& b) noexcept {
+  return a.t > b.t || (a.t == b.t && a.seq > b.seq);
+};
+
+}  // namespace
+
 QueueConfig& default_queue_config() noexcept {
   static QueueConfig cfg;
   return cfg;
@@ -15,188 +23,202 @@ EventQueue::EventQueue(const QueueConfig& cfg) : cfg_(cfg) {
   n = std::bit_ceil(n);
   cfg_.ring_ticks = n;
   mask_ = n - 1;
+  shift_ = static_cast<std::uint32_t>(std::countr_zero(n));
   ring_.resize(n);
   bits_.assign((n + 63) / 64, 0);
   summary_.assign((bits_.size() + 63) / 64, 0);
-  pool_.reserve(256);
   heap_.reserve(64);
 }
 
-std::uint32_t EventQueue::alloc_node(SimTime t, EventFn fn) {
-  std::uint32_t idx;
-  if (free_head_ != kNil) {
-    idx = free_head_;
-    Node& n = pool_[idx];
-    free_head_ = n.next;
-    n.fn = std::move(fn);
-    n.t = t;
-    n.next = kNil;
-  } else {
-    idx = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(Node{std::move(fn), t, kNil});
+EventQueue::~EventQueue() {
+  // Free nodes hold empty closures; pending ones are destroyed here.
+  for (std::uint32_t i = 0; i < cut_; ++i) node(i).~Node();
+}
+
+std::uint32_t EventQueue::cut_node() {
+  if (cut_ == chunks_.size() * kChunkNodes) {
+    // Raw storage: a node's page is touched only when the node is cut.
+    std::unique_ptr<Node, FreeChunk> chunk(static_cast<Node*>(::operator new(
+        kChunkNodes * sizeof(Node), std::align_val_t{alignof(Node)})));
+    chunks_.push_back(std::move(chunk));
   }
-  return idx;
+  ::new (static_cast<void*>(chunks_.back().get() + (cut_ & (kChunkNodes - 1))))
+      Node();
+  return cut_++;
 }
 
-void EventQueue::free_node(std::uint32_t idx) noexcept {
-  Node& n = pool_[idx];
-  n.fn.reset();  // drop closure resources now, not at next reuse
-  n.next = free_head_;
-  free_head_ = idx;
-}
-
-void EventQueue::bit_set(std::uint32_t bucket) noexcept {
-  bits_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-  summary_[bucket >> 12] |= std::uint64_t{1} << ((bucket >> 6) & 63);
-}
-
-void EventQueue::bit_clear(std::uint32_t bucket) noexcept {
-  std::uint64_t& w = bits_[bucket >> 6];
-  w &= ~(std::uint64_t{1} << (bucket & 63));
-  if (w == 0) {
-    summary_[bucket >> 12] &= ~(std::uint64_t{1} << ((bucket >> 6) & 63));
-  }
-}
-
-void EventQueue::bucket_append(std::uint32_t bucket,
-                               std::uint32_t node) noexcept {
-  Bucket& bk = ring_[bucket];
+void EventQueue::ring_append(std::uint32_t bucket, std::uint32_t idx) noexcept {
+  node(idx).next = kNil;
+  List& bk = ring_[bucket];
   if (bk.head == kNil) {
-    bk.head = bk.tail = node;
-    bit_set(bucket);
+    bk.head = bk.tail = idx;
+    bits_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+    summary_[bucket >> 12] |= std::uint64_t{1} << ((bucket >> 6) & 63);
     ++occupied_;
   } else {
-    pool_[bk.tail].next = node;
-    bk.tail = node;
+    node(bk.tail).next = idx;
+    bk.tail = idx;
   }
+  ++ring_count_;
 }
 
-std::uint32_t EventQueue::find_first_from(std::uint32_t from) const noexcept {
-  // The window [base, base + N) maps bijectively onto bucket indices;
-  // index order starting at `from` (= base & mask) and wrapping is
-  // exactly increasing-tick order, so the first set bit in rotated
-  // order is the earliest pending tick.
-  std::uint32_t w = from >> 6;
+void EventQueue::wheel_append(SimTime t, std::uint32_t idx) noexcept {
+  Node& n = node(idx);
+  n.next = kNil;
+  n.aux = static_cast<std::uint32_t>(t) & mask_;
+  const std::uint32_t s = static_cast<std::uint32_t>(t >> shift_) & kSlotMask;
+  List& slot = wheel_[s];
+  if (slot.head == kNil) {
+    slot.head = slot.tail = idx;
+    wheel_bits_[s >> 6] |= std::uint64_t{1} << (s & 63);
+    wheel_summary_ |= std::uint64_t{1} << (s >> 6);
+  } else {
+    node(slot.tail).next = idx;
+    slot.tail = idx;
+  }
+  ++wheel_count_;
+}
+
+void EventQueue::link(SimTime t, std::uint64_t seq, std::uint32_t idx) {
+  // Blocks ahead of base's: 0 is the ring, 1..kWheelSlots the wheel.
+  const SimTime ahead = (t >> shift_) - (base_ >> shift_);
+  if (ahead == 0) {
+    ring_append(static_cast<std::uint32_t>(t) & mask_, idx);
+  } else if (ahead <= kWheelSlots) {
+    wheel_append(t, idx);
+  } else {
+    heap_push(HeapItem{t, seq, idx});
+  }
+  ++size_;
+}
+
+std::uint32_t EventQueue::ring_find_from(std::uint32_t from) const noexcept {
+  // Every ring entry lies in [base, end of base's block), so buckets at
+  // or after `from` (= base's bucket) in plain index order are
+  // increasing-tick order: no wrap.
+  const std::uint32_t w = from >> 6;
   const std::uint64_t first = bits_[w] & (~std::uint64_t{0} << (from & 63));
   if (first != 0) {
     return (w << 6) + static_cast<std::uint32_t>(std::countr_zero(first));
   }
-  // Walk whole words circularly via the summary bitmap; word `w` may
-  // legitimately come round again (its low bits are the window's
-  // latest ticks).
-  const std::uint32_t nsw = static_cast<std::uint32_t>(summary_.size());
-  std::uint32_t start = (w + 1 == bits_.size()) ? 0 : w + 1;
-  std::uint32_t sw = start >> 6;
-  std::uint64_t s = summary_[sw] & (~std::uint64_t{0} << (start & 63));
-  for (std::uint32_t i = 0; i <= nsw; ++i) {
+  const std::uint32_t next = w + 1;  // first whole word left to scan
+  for (std::uint32_t sw = next >> 6; sw < summary_.size(); ++sw) {
+    std::uint64_t s = summary_[sw];
+    if (sw == next >> 6) s &= ~std::uint64_t{0} << (next & 63);
     if (s != 0) {
       const std::uint32_t word =
           (sw << 6) + static_cast<std::uint32_t>(std::countr_zero(s));
       return (word << 6) +
              static_cast<std::uint32_t>(std::countr_zero(bits_[word]));
     }
-    sw = (sw + 1 == nsw) ? 0 : sw + 1;
-    s = summary_[sw];
   }
   return kNil;
 }
 
+std::uint32_t EventQueue::wheel_find_from(std::uint32_t from) const noexcept {
+  // Slot order starting at `from` and wrapping is increasing-block
+  // order; word `w` may come round again (its low bits are the wheel's
+  // last blocks).
+  const std::uint32_t w = from >> 6;
+  const std::uint64_t first =
+      wheel_bits_[w] & (~std::uint64_t{0} << (from & 63));
+  if (first != 0) {
+    return (w << 6) + static_cast<std::uint32_t>(std::countr_zero(first));
+  }
+  std::uint64_t s = wheel_summary_ & (~std::uint64_t{0} << (w + 1));
+  if (s == 0) s = wheel_summary_;
+  const std::uint32_t word = static_cast<std::uint32_t>(std::countr_zero(s));
+  return (word << 6) +
+         static_cast<std::uint32_t>(std::countr_zero(wheel_bits_[word]));
+}
+
 void EventQueue::heap_push(HeapItem item) {
   heap_.push_back(item);
-  std::push_heap(heap_.begin(), heap_.end(),
-                 [](const HeapItem& a, const HeapItem& b) {
-                   return a.t > b.t || (a.t == b.t && a.seq > b.seq);
-                 });
+  std::push_heap(heap_.begin(), heap_.end(), heap_later);
 }
 
 EventQueue::HeapItem EventQueue::heap_pop() noexcept {
-  std::pop_heap(heap_.begin(), heap_.end(),
-                [](const HeapItem& a, const HeapItem& b) {
-                  return a.t > b.t || (a.t == b.t && a.seq > b.seq);
-                });
+  std::pop_heap(heap_.begin(), heap_.end(), heap_later);
   const HeapItem item = heap_.back();
   heap_.pop_back();
   return item;
 }
 
-void EventQueue::migrate_overflow() noexcept {
-  // Pull every overflow entry the window now covers into its bucket —
-  // eagerly, before pop() returns, so no later push at the same tick
-  // can slip in front of an earlier-scheduled (smaller-seq) event.
-  // Heap pops come out in (t, seq) order, so same-tick entries land in
-  // their bucket already FIFO.
-  while (!heap_.empty() && heap_.front().t - base_ < cfg_.ring_ticks) {
-    const HeapItem item = heap_pop();
-    bucket_append(static_cast<std::uint32_t>(item.t) & mask_, item.node);
-    ++ring_count_;
-  }
-}
-
-void EventQueue::push(SimTime t, std::uint64_t seq, EventFn fn) {
-  ++size_;
-  if (t - base_ < cfg_.ring_ticks) {
-    const std::uint32_t bucket = static_cast<std::uint32_t>(t) & mask_;
-    const std::uint32_t node = alloc_node(t, std::move(fn));
-    bucket_append(bucket, node);
-    ++ring_count_;
+void EventQueue::advance() noexcept {
+  // The ring is empty, so the earliest event lies in the first occupied
+  // wheel slot or, with the wheel empty too, at the heap top.
+  const SimTime cur = base_ >> shift_;
+  SimTime block;
+  if (wheel_count_ > 0) {
+    const std::uint32_t from = static_cast<std::uint32_t>(cur + 1) & kSlotMask;
+    block = cur + 1 + ((wheel_find_from(from) - from) & kSlotMask);
   } else {
-    const std::uint32_t node = alloc_node(t, std::move(fn));
-    heap_push(HeapItem{t, seq, node});
+    block = heap_.front().t >> shift_;
   }
-}
+  base_ = block << shift_;
 
-bool EventQueue::pop(SimTime& t_out, EventFn& fn_out) {
-  if (size_ == 0) return false;
-  std::uint32_t bucket = cur_bucket_;
-  if (bucket == kNil) {
-    if (ring_count_ > 0) {
-      // Invariant: every overflow entry is >= base + N away, so any
-      // ring occupant beats the heap.
-      bucket = find_first_from(static_cast<std::uint32_t>(base_) & mask_);
-    } else {
-      // Ring empty: the heap top is the global minimum.
-      const HeapItem top = heap_pop();
-      Node& n = pool_[top.node];
-      t_out = n.t;
-      fn_out = std::move(n.fn);
-      free_node(top.node);
-      --size_;
-      base_ = t_out;
-      migrate_overflow();
-      const std::uint32_t b = static_cast<std::uint32_t>(base_) & mask_;
-      cur_bucket_ = ring_[b].head != kNil ? b : kNil;
-      return true;
+  // Cascade the block's slot into the ring.  Its entries for a tick were
+  // all pushed before any ring entry for that tick could be (that needs
+  // base in this block), and list order is their (t, seq) order.
+  const std::uint32_t s = static_cast<std::uint32_t>(block) & kSlotMask;
+  List& slot = wheel_[s];
+  if (slot.head != kNil) {
+    for (std::uint32_t idx = slot.head; idx != kNil;) {
+      const std::uint32_t next = node(idx).next;
+      ring_append(node(idx).aux, idx);
+      --wheel_count_;
+      idx = next;
+    }
+    slot = List{};
+    wheel_bits_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
+    if (wheel_bits_[s >> 6] == 0) {
+      wheel_summary_ &= ~(std::uint64_t{1} << (s >> 6));
     }
   }
 
-  Bucket& bk = ring_[bucket];
-  const std::uint32_t node = bk.head;
-  Node& n = pool_[node];
-  t_out = n.t;
-  fn_out = std::move(n.fn);
-  bk.head = n.next;
+  // The wheel now reaches kWheelSlots blocks past this one: move the
+  // heap entries it covers down, in (t, seq) order.  Their slots are
+  // the ones just skipped or cascaded, so each lands ahead of any later
+  // push for its tick.  Only a jump to the heap top lands entries in
+  // the ring itself.
+  while (!heap_.empty() &&
+         (heap_.front().t >> shift_) - block <= kWheelSlots) {
+    const HeapItem item = heap_pop();
+    if ((item.t >> shift_) == block) {
+      ring_append(static_cast<std::uint32_t>(item.t) & mask_, item.node);
+    } else {
+      wheel_append(item.t, item.node);
+    }
+  }
+}
+
+std::uint32_t EventQueue::pop(SimTime& t_out) noexcept {
+  if (size_ == 0) return kNil;
+  std::uint32_t bucket = cur_bucket_;
+  if (bucket == kNil) {
+    if (ring_count_ == 0) advance();
+    bucket = ring_find_from(static_cast<std::uint32_t>(base_) & mask_);
+  }
+  List& bk = ring_[bucket];
+  const std::uint32_t idx = bk.head;
+  bk.head = node(idx).next;
   if (bk.head == kNil) {
     bk.tail = kNil;
-    bit_clear(bucket);
+    std::uint64_t& w = bits_[bucket >> 6];
+    w &= ~(std::uint64_t{1} << (bucket & 63));
+    if (w == 0) {
+      summary_[bucket >> 12] &= ~(std::uint64_t{1} << ((bucket >> 6) & 63));
+    }
     --occupied_;
     cur_bucket_ = kNil;
   } else {
     cur_bucket_ = bucket;
   }
-  free_node(node);
   --size_;
   --ring_count_;
-  if (t_out != base_) {
-    base_ = t_out;
-    migrate_overflow();
-    // Migration may have refilled this very tick's bucket (same-tick
-    // entries that were still in the heap have SMALLER seq than any
-    // future push, so appending them now keeps FIFO order intact).
-    if (cur_bucket_ == kNil && ring_[bucket].head != kNil) {
-      cur_bucket_ = bucket;
-    }
-  }
-  return true;
+  base_ = (base_ & ~SimTime{mask_}) | bucket;
+  t_out = base_;
+  return idx;
 }
 
 }  // namespace padico::core

@@ -13,13 +13,18 @@
 //   * move-only (events are single-shot; copying a queued closure is
 //     always a bug),
 //   * construction COPIES from an lvalue callable and MOVES from an
-//     rvalue, like std::function,
+//     rvalue, like std::function; `emplace` does the same into an
+//     empty InplaceFn, which is how the engine's queue builds a
+//     closure straight into its event node,
 //   * a callable is stored inline iff it fits, is no more aligned than
 //     max_align_t, and is nothrow-move-constructible — the move must
-//     not throw because queue containers relocate nodes under
-//     noexcept,
+//     not throw because containers (the arbitration rings) relocate
+//     closures under noexcept,
 //   * invoking an empty InplaceFn is undefined (the engine never
 //     stores empty events).
+//
+// The object is 56 bytes of data in a 64-byte footprint: the event
+// queue's nodes put two 32-bit links in that tail padding.
 #pragma once
 
 #include <cstddef>
@@ -47,13 +52,7 @@ class InplaceFn {
             typename = std::enable_if_t<!std::is_same_v<D, InplaceFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   InplaceFn(F&& f) {  // NOLINT: implicit, like std::function
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      vt_ = &inline_vtable<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-      vt_ = &heap_vtable<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   InplaceFn(InplaceFn&& other) noexcept : vt_(other.vt_) {
@@ -87,11 +86,36 @@ class InplaceFn {
     }
   }
 
+  /// Build `f` in this InplaceFn, which must be empty.  An InplaceFn
+  /// argument must be an rvalue and is moved in, never wrapped.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InplaceFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "an InplaceFn is moved in, never copied");
+      *this = std::move(f);
+    } else {
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
   void operator()() { vt_->invoke(storage_); }
 
  private:
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      vt_ = &inline_vtable<D>;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
+      vt_ = &heap_vtable<D>;
+    }
+  }
+
   struct VTable {
     void (*invoke)(void* obj);
     // Move-construct the callable from `src` into `dst`, then destroy

@@ -222,7 +222,7 @@ core::Task Orb::client_loop(vlink::Link& link) {
     }
     CdrIn in(core::view_of(body));
     Reply reply;
-    reply.status = static_cast<core::Status>(in.get_u8());
+    const std::uint8_t status = in.get_u8();
     const std::uint32_t argc = in.get_u32();
     if (argc > body.size()) {  // each result is at least one byte
       ++protocol_errors_;
@@ -231,10 +231,14 @@ core::Task Orb::client_loop(vlink::Link& link) {
     for (std::uint32_t i = 0; i < argc && in.ok(); ++i) {
       reply.results.push_back(unmarshal_any(in));
     }
-    if (!in.ok()) {
+    // A truncated reply, or a status byte that names no core::Status
+    // (`error` is the last enumerator), fails the invoke.
+    if (!in.ok() || status > static_cast<std::uint8_t>(core::Status::error)) {
       ++protocol_errors_;
       reply.status = core::Status::error;
       reply.results.clear();
+    } else {
+      reply.status = static_cast<core::Status>(status);
     }
     auto it = pending_.find(id);
     if (it == pending_.end()) {

@@ -99,14 +99,17 @@ void MadIO::end(mad::PackHandle handle, Tag tag, core::NodeId dst) {
 }
 
 void MadIO::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
-  auto pit = pending_.find(src);
-  if (pit != pending_.end()) {
-    // Combining off: this whole message is the payload announced by the
-    // detached header that preceded it.
-    const Tag tag = pit->second.dst_port;
-    pending_.erase(pit);
-    dispatch(tag, src, std::move(handle));
-    return;
+  // Only naive mode detaches headers, so only it has pending ones.
+  if (!combining_) {
+    auto pit = pending_.find(src);
+    if (pit != pending_.end()) {
+      // This whole message is the payload announced by the detached
+      // header that preceded it.
+      const Tag tag = pit->second.dst_port;
+      pending_.erase(pit);
+      dispatch(tag, src, std::move(handle));
+      return;
+    }
   }
   // Accept only the control header this mode sends (both ends of a
   // grid share the mode): a `header` frame reaching a combining MadIO

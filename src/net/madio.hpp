@@ -15,6 +15,9 @@
 //
 // Both ends of a grid run the same mode, so a receiver drops (and
 // counts in dropped()) any control header of the other mode's type.
+// Only a naive receiver holds detached headers whose payload is still
+// due, and only it looks a received message up among them: with
+// combining on, a message costs no lookup there.
 //
 // Received messages are not dispatched inline: MadIO hands them to the
 // node's NetAccess, whose Arbitration decides when the tag handler
@@ -126,7 +129,7 @@ class MadIO {
   std::unordered_map<Tag, Handler> handlers_;
   // Send keyed (tag, destination), receive keyed (tag, source).
   SeqBook<std::pair<Tag, core::NodeId>> seq_;
-  // Combining off: control header seen, payload message still due.
+  // Combining off only: control header seen, payload message still due.
   std::unordered_map<core::NodeId, vlink::wire::Header> pending_;
   std::uint64_t dropped_ = 0;
 };

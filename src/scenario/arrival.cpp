@@ -11,6 +11,8 @@ std::uint64_t log2_q32(std::uint64_t u) {
   // Normalize the mantissa into [2^63, 2^64) — i.e. [1, 2) in Q63 —
   // then pull one fraction bit per squaring: y^2 >= 2 exactly when the
   // next binary digit of log2 is 1.
+  // The digit picks the next mantissa through a mask, not a branch: it
+  // is a coin flip the predictor would miss half the time.
   const int lz = std::countl_zero(u);
   const std::uint64_t int_part = static_cast<std::uint64_t>(63 - lz);
   std::uint64_t y = u << lz;
@@ -18,13 +20,11 @@ std::uint64_t log2_q32(std::uint64_t u) {
   for (int i = 0; i < 32; ++i) {
     const unsigned __int128 sq = static_cast<unsigned __int128>(y) * y;
     const std::uint64_t hi = static_cast<std::uint64_t>(sq >> 64);
-    frac <<= 1;
-    if ((hi & 0x8000000000000000ull) != 0) {  // sq >> 63 reached 2 in Q63
-      frac |= 1;
-      y = hi;  // (sq >> 63) / 2
-    } else {
-      y = static_cast<std::uint64_t>(sq >> 63);
-    }
+    const std::uint64_t digit = hi >> 63;  // sq >> 63 reached 2 in Q63
+    const std::uint64_t keep_hi = 0 - digit;
+    frac = (frac << 1) | digit;
+    // digit 1: (sq >> 63) / 2 = hi; digit 0: sq >> 63 fits 64 bits.
+    y = (hi & keep_hi) | (static_cast<std::uint64_t>(sq >> 63) & ~keep_hi);
   }
   return (int_part << 32) | frac;
 }
@@ -46,12 +46,14 @@ std::uint64_t exp2_frac_q63(std::uint64_t f_q32) {
       0x800000058b90bfddull, 0x80000002c5c85fe7ull, 0x8000000162e42ff2ull,
       0x80000000b17217f8ull, 0x8000000058b90bfcull,
   };
+  // Only the set bits multiply, highest first, so the product is
+  // formed in the same order as a scan over all 32 bits.
   std::uint64_t r = 1ull << 63;
-  for (int k = 0; k < 32; ++k) {
-    if ((f_q32 & (0x80000000ull >> k)) != 0) {
-      r = static_cast<std::uint64_t>(
-          (static_cast<unsigned __int128>(r) * kRoots[k]) >> 63);
-    }
+  for (auto bits = static_cast<std::uint32_t>(f_q32); bits != 0;) {
+    const int k = std::countl_zero(bits);
+    r = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(r) * kRoots[k]) >> 63);
+    bits ^= 0x80000000u >> k;
   }
   return r;
 }

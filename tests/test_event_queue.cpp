@@ -1,8 +1,8 @@
-// EventQueue ordering invariants: the calendar queue must dispatch in
+// EventQueue ordering invariants: the timing wheel must dispatch in
 // exactly the old `std::map<(t, seq), fn>` order — strictly
 // non-decreasing time, FIFO within an instant, past timestamps clamped
-// to now — under every configuration (default ring, 1-bucket
-// degenerate, tiny ring).
+// to now — under every configuration (default width, the 1-tick
+// degenerate ring, tiny rings whose wheel spans under a millisecond).
 //
 // The oracle is the seed's std::map queue (bench/map_oracle.hpp, shared
 // with bench_engine), driven by the same seeded generator.  Plus a
@@ -10,6 +10,7 @@
 // digest recorded before the queue swap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -31,67 +32,115 @@ namespace {
 // Generator: a random schedule-churn program, identical per seed
 // ---------------------------------------------------------------------------
 
+struct Program {
+  std::vector<std::uint32_t> order;  // event ids in dispatch order
+  // Dispatches that followed the previous one by more than the default
+  // wheel's reach: the ring and the wheel had drained and the event
+  // came off the heap.
+  std::uint32_t idle_gaps = 0;
+};
+
 /// Drive `eng` through `total` events: every dispatched event records
-/// its id and schedules 0–2 children at random offsets — far future
-/// (past any ring window), near future, the same instant, and the
-/// PAST (negative offsets, which must clamp).  All decisions come off
-/// one seeded Rng, so two engines with identical dispatch order see
-/// identical programs; any ordering divergence derails the comparison
-/// visibly.
+/// its id and schedules 1–2 children at random offsets — the same
+/// instant, near future (inside any ring), a few ms ahead (the wheel
+/// at the default width, the heap at tiny ones), 150–400 ms ahead
+/// (beyond the default wheel: heap, then wheel, then ring), 1 ms grid
+/// points up to 400 ms ahead (so pushes made from every level collide
+/// on one tick), and the PAST (which must clamp).  The program runs in
+/// epochs of 500 events.  The event that spends an epoch's budget
+/// schedules the next epoch's 4 roots 150–400 ms past everything
+/// scheduled so far; the rest of its epoch drains without children,
+/// so the ring and the wheel empty out and the next event waits in
+/// the heap — the idle gaps in which the queue jumps to the heap top.
+/// All decisions come off one seeded Rng, so two engines with
+/// identical dispatch order see identical programs; any ordering
+/// divergence derails the comparison visibly.
 template <typename EngineT>
-std::vector<std::uint32_t> run_program(EngineT& eng, std::uint32_t total,
-                                       std::uint64_t seed) {
-  std::vector<std::uint32_t> order;
-  order.reserve(total);
+Program run_program(EngineT& eng, std::uint32_t total, std::uint64_t seed) {
+  constexpr std::uint32_t kEpochEvents = 500;
+  constexpr pc::SimTime kMs = 1'000'000;
+  // 1024 slots of the default 131072-tick block, plus one block.
+  constexpr pc::SimTime kWheelReach = 1025 * 131072;
+  Program prog;
+  prog.order.reserve(total);
   pc::Rng rng(seed);
   std::uint32_t next_id = 0;
   std::uint32_t budget = total;
+  std::uint32_t epoch = 0;
+  std::uint32_t epoch_left = kEpochEvents;
+  pc::SimTime horizon = 0;  // latest instant scheduled so far
+  pc::SimTime last = 0;
 
-  std::function<void(std::uint32_t)> fire = [&](std::uint32_t id) {
-    order.push_back(id);
-    // 1–2 children keeps the branching process supercritical, so the
-    // whole budget is consumed instead of the population dying out.
+  std::function<void(std::uint32_t, std::uint32_t)> fire;
+  auto schedule = [&](pc::SimTime t, std::uint32_t ep) {
+    --budget;
+    horizon = std::max(horizon, t);
+    const std::uint32_t id = next_id++;
+    eng.schedule_at(t, [&fire, id, ep] { fire(id, ep); });
+  };
+  fire = [&](std::uint32_t id, std::uint32_t ep) {
+    prog.order.push_back(id);
+    const pc::SimTime now = eng.now();
+    if (now - last > kWheelReach) ++prog.idle_gaps;
+    last = now;
+    if (ep != epoch) return;  // a spent epoch drains
     const int children = 1 + static_cast<int>(rng.uniform_int(0, 1));
-    for (int c = 0; c < children && budget > 0; ++c) {
-      --budget;
-      const std::uint64_t kind = rng.uniform_int(0, 3);
-      const pc::SimTime now = eng.now();
+    for (int c = 0; c < children && budget > 0 && epoch_left > 0; ++c) {
+      --epoch_left;
       pc::SimTime t = now;
-      switch (kind) {
+      switch (rng.uniform_int(0, 5)) {
         case 0:  // same instant (FIFO with everything queued at now)
           break;
         case 1:  // near future, inside any ring window
           t = now + 1 + rng.uniform_int(0, 4000);
           break;
-        case 2:  // far future, beyond the default 131072-tick window
+        case 2:  // beyond the default 131072-tick ring
           t = now + 200'000 + rng.uniform_int(0, 2'000'000);
+          break;
+        case 3:  // beyond the default wheel's 134 ms
+          t = now + 150 * kMs + rng.uniform_int(0, 250 * kMs);
+          break;
+        case 4:  // a 1 ms grid point up to 400 ms ahead
+          t = (now + rng.uniform_int(0, 400 * kMs) + kMs - 1) / kMs * kMs;
           break;
         default:  // the past — must clamp to now
           t = now - std::min<pc::SimTime>(now, rng.uniform_int(1, 10'000));
           break;
       }
-      const std::uint32_t id2 = next_id++;
-      eng.schedule_at(t, [&fire, id2] { fire(id2); });
+      schedule(t, ep);
+    }
+    if (epoch_left == 0 && budget > 0) {
+      ++epoch;
+      epoch_left = kEpochEvents;
+      const pc::SimTime gap_end = horizon;
+      for (int r = 0; r < 4 && budget > 0; ++r) {
+        schedule(gap_end + 150 * kMs + rng.uniform_int(0, 250 * kMs), epoch);
+      }
     }
   };
 
-  // Seed the program with a spread of roots so several buckets and the
-  // far heap are populated before the first dispatch.
+  // Seed the program with a spread of roots so several buckets, wheel
+  // slots and the far heap are populated before the first dispatch.
   for (int r = 0; r < 64 && budget > 0; ++r) {
-    --budget;
-    const std::uint32_t id = next_id++;
-    eng.schedule_at(rng.uniform_int(0, 500'000),
-                    [&fire, id] { fire(id); });
+    schedule(rng.uniform_int(0, 500 * kMs), 0);
   }
   eng.run_until_idle();
-  return order;
+  return prog;
 }
 
-std::vector<std::uint32_t> run_config(const pc::QueueConfig& cfg,
-                                      std::uint32_t total,
-                                      std::uint64_t seed) {
+Program run_config(const pc::QueueConfig& cfg, std::uint32_t total,
+                   std::uint64_t seed) {
   pc::Engine eng(cfg);
   return run_program(eng, total, seed);
+}
+
+/// Pop the queue's next event and run its closure in place.
+bool pop_and_run(pc::EventQueue& q, pc::SimTime& t) {
+  const std::uint32_t node = q.pop(t);
+  if (node == pc::EventQueue::kNone) return false;
+  q.fn(node)();
+  q.release(node);
+  return true;
 }
 
 }  // namespace
@@ -101,45 +150,77 @@ TEST(EventQueueOrdering, HundredThousandRandomEventsMatchMapSemantics) {
   constexpr std::uint64_t kSeed = 0x0bd5'ca1e'0000'0001ull;
 
   bench::MapOracle oracle;
-  const std::vector<std::uint32_t> expect =
-      run_program(oracle, kTotal, kSeed);
-  ASSERT_EQ(expect.size(), kTotal);
+  const Program expect = run_program(oracle, kTotal, kSeed);
+  ASSERT_EQ(expect.order.size(), kTotal);
+  // The program really leaves the queue idle between far events.
+  EXPECT_GT(expect.idle_gaps, 100u);
 
-  pc::QueueConfig cfg;  // default calendar configuration
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
-
-  cfg.ring_ticks = 1;  // degenerate: everything via the overflow heap
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
-
-  cfg.ring_ticks = 64;  // tiny window: constant ring<->heap migration
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
+  // Default width, the 1-tick degenerate ring (a 1 us wheel), a tiny
+  // ring (64 us wheel: constant heap-to-wheel migration) and a 1 ms
+  // wheel.
+  for (const std::uint32_t width :
+       {pc::QueueConfig{}.ring_ticks, 1u, 64u, 1024u}) {
+    pc::QueueConfig cfg;
+    cfg.ring_ticks = width;
+    EXPECT_EQ(run_config(cfg, kTotal, kSeed).order, expect.order)
+        << "ring_ticks " << width;
+  }
 }
 
 TEST(EventQueueOrdering, QueueShapeAccountingStaysConsistent) {
   pc::QueueConfig cfg;
-  cfg.ring_ticks = 1024;
+  cfg.ring_ticks = 1024;  // a block is 1024 ticks; the wheel reaches 1 ms
   pc::EventQueue q(cfg);
-  // Ring entry, far entries, and a same-tick far/near split.
-  q.push(10, 0, [] {});
-  q.push(5'000, 1, [] {});
-  q.push(5'000, 2, [] {});
-  EXPECT_EQ(q.size(), 3u);
+  std::vector<int> ran;
+  // A ring entry, two wheel entries for one tick, and a heap entry.
+  q.push(10, 0, [&ran] { ran.push_back(0); });
+  q.push(5'000, 1, [&ran] { ran.push_back(1); });
+  q.push(5'000, 2, [&ran] { ran.push_back(2); });
+  q.push(2'000'000, 3, [&ran] { ran.push_back(3); });
+  EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.ring_size(), 1u);
-  EXPECT_EQ(q.overflow_size(), 2u);
+  EXPECT_EQ(q.overflow_size(), 3u);  // wheel plus heap
   EXPECT_EQ(q.occupied_buckets(), 1u);
 
   pc::SimTime t = 0;
-  pc::EventFn fn;
-  ASSERT_TRUE(q.pop(t, fn));
+  ASSERT_TRUE(pop_and_run(q, t));
   EXPECT_EQ(t, 10u);
-  // Popping slid the window past 5'000: both far entries migrated.
-  ASSERT_TRUE(q.pop(t, fn));
+  // The ring drained: the next pop cascades 5'000's slot into the ring.
+  ASSERT_TRUE(pop_and_run(q, t));
   EXPECT_EQ(t, 5'000u);
-  ASSERT_TRUE(q.pop(t, fn));
+  EXPECT_EQ(q.ring_size(), 1u);
+  EXPECT_EQ(q.overflow_size(), 1u);
+  EXPECT_EQ(q.occupied_buckets(), 1u);
+  ASSERT_TRUE(pop_and_run(q, t));
   EXPECT_EQ(t, 5'000u);
-  EXPECT_FALSE(q.pop(t, fn));
+  // Ring and wheel are empty: the queue jumps to the heap top.
+  ASSERT_TRUE(pop_and_run(q, t));
+  EXPECT_EQ(t, 2'000'000u);
+  EXPECT_FALSE(pop_and_run(q, t));
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(q.occupied_buckets(), 0u);
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueueOrdering, OneTickFromEveryLevelPopsInPushOrder) {
+  // One tick reached from the heap, the wheel and the ring in turn:
+  // each entry must pop in push order, whatever level it came through.
+  pc::QueueConfig cfg;
+  cfg.ring_ticks = 1024;
+  pc::Engine e(cfg);
+  constexpr pc::SimTime kT = 5'000'000;  // beyond the 1 ms wheel at 0
+  std::vector<int> order;
+  e.schedule_at(kT, [&order] { order.push_back(0); });  // heap
+  e.schedule_at(kT - 900'000, [&] {
+    e.schedule_at(kT, [&order] { order.push_back(1); });  // wheel
+  });
+  e.schedule_at(kT - 100, [&] {
+    e.schedule_at(kT, [&order] { order.push_back(2); });  // ring
+  });
+  e.schedule_at(kT, [&order] { order.push_back(3); });  // heap
+  e.run_until_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
+  EXPECT_EQ(e.now(), kT);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,17 +270,12 @@ TEST(EventQueueDigest, ThousandNodeScenarioMatchesPreRefactorRecording) {
 }
 
 TEST(EventQueueDigest, DegenerateAndTinyRingsReproduceTheSameRecording) {
-  pc::QueueConfig one_bucket;
-  one_bucket.ring_ticks = 1;
-  const sc::Report degenerate = run_thousand(one_bucket);
-  EXPECT_EQ(degenerate.digest, kRecordedDigest);
-  EXPECT_EQ(degenerate.events, kRecordedEvents);
-  EXPECT_EQ(degenerate.duration, kRecordedDuration);
-
-  pc::QueueConfig tiny;
-  tiny.ring_ticks = 64;
-  const sc::Report migrating = run_thousand(tiny);
-  EXPECT_EQ(migrating.digest, kRecordedDigest);
-  EXPECT_EQ(migrating.events, kRecordedEvents);
-  EXPECT_EQ(migrating.duration, kRecordedDuration);
+  for (const std::uint32_t width : {1u, 64u, 1024u}) {
+    pc::QueueConfig cfg;
+    cfg.ring_ticks = width;
+    const sc::Report r = run_thousand(cfg);
+    EXPECT_EQ(r.digest, kRecordedDigest) << "ring_ticks " << width;
+    EXPECT_EQ(r.events, kRecordedEvents) << "ring_ticks " << width;
+    EXPECT_EQ(r.duration, kRecordedDuration) << "ring_ticks " << width;
+  }
 }

@@ -3,6 +3,7 @@
 // CORBA / Java-socket personalities end to end on the paper testbed.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -373,6 +374,53 @@ TEST(Orb, DestroyedWithConnectInFlightIgnoresTheLateAccept) {
   EXPECT_EQ(drv->connections(), 0u);
   EXPECT_EQ(server.requests_served(), 0u);
   EXPECT_EQ(server.protocol_errors(), 0u);
+}
+
+TEST(Orb, ReplyWithAnUnknownStatusIsAProtocolError) {
+  // A forged server answers the first request with a reply whose status
+  // byte (7) names no core::Status.
+  gr::Grid grid;
+  build_testbed(grid);
+  constexpr pc::Port kPort = 5240;
+  std::unique_ptr<vl::Link> server_link;
+  pc::Task forger;
+  auto forge = [&](vl::Link& link) -> pc::Task {
+    pc::Bytes hdr = co_await link.read_n(9);  // [u32 len][u8 kind][u32 id]
+    std::uint32_t len = 0, id = 0;
+    std::memcpy(&len, hdr.data(), 4);
+    std::memcpy(&id, hdr.data() + 5, 4);
+    pc::Bytes body = co_await link.read_n(len);
+    padico::orb::CdrOut reply(false);
+    reply.put_u32(5);  // body: u8 status, u32 argc
+    reply.put_u8(1);   // kReply
+    reply.put_u32(id);
+    reply.put_u8(7);
+    reply.put_u32(0);
+    const pc::Bytes frame = reply.flatten();
+    link.post_write(pc::view_of(frame));
+  };
+  grid.node(1).vlink().listen(kPort, [&](std::unique_ptr<vl::Link> l) {
+    server_link = std::move(l);
+    forger = forge(*server_link);
+  });
+  padico::orb::Orb client(grid.node(0).host(), grid.node(0).vlink(),
+                          padico::orb::profiles::omniorb4(), 5241);
+  bool done = false;
+  auto prog = [&]() -> pc::Task {
+    const padico::orb::ObjectRef ref{1, kPort, "forged"};
+    const std::string m = "m";
+    std::vector<padico::orb::Any> args;
+    args.emplace_back(std::uint64_t{1});
+    auto call = client.invoke(ref, m, std::move(args));
+    padico::orb::Reply r = co_await call;
+    EXPECT_EQ(r.status, pc::Status::error);
+    EXPECT_TRUE(r.results.empty());
+    done = true;
+  };
+  auto t = prog();
+  grid.engine().run_until_idle();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(client.protocol_errors(), 1u);
 }
 
 // --- Java sockets -----------------------------------------------------------

@@ -149,6 +149,36 @@ TEST(Fixmath, Exp2AndPow2NegMatchLibm) {
   EXPECT_NEAR(got, std::pow(2.0, -1.5), 1e-8);
 }
 
+TEST(Fixmath, KernelsReproduceTheirRecordedOutputs) {
+  // Recorded from the branching kernels (a branch per digit in
+  // log2_q32, a test of every bit in exp2_frac_q63): the arrival
+  // stream, hence every scenario digest, depends on each output bit.
+  const std::pair<std::uint64_t, std::uint64_t> log2_cases[] = {
+      {1ull, 0ull},
+      {2ull, 0x100000000ull},
+      {3ull, 0x195c01a39ull},
+      {1000ull, 0x9f73da38dull},
+      {123456789ull, 0x1ae12262b7ull},
+      {0xffffffffull, 0x1ffffffffeull},
+      {1ull << 63, 0x3f00000000ull},
+      {~0ull, 0x3fffffffffull},
+  };
+  for (const auto& [in, out] : log2_cases) {
+    EXPECT_EQ(sc::fixmath::log2_q32(in), out) << std::hex << in;
+  }
+  const std::pair<std::uint64_t, std::uint64_t> exp2_cases[] = {
+      {0ull, 0x8000000000000000ull},
+      {1ull, 0x8000000058b90bfcull},
+      {1ull << 31, 0xb504f333f9de6484ull},
+      {0x12345678ull, 0x86779e2e50c2a334ull},
+      {0xdeadbeefull, 0xe9ea2910c2c22cbaull},
+      {0xffffffffull, 0xffffffff4e8de7feull},
+  };
+  for (const auto& [in, out] : exp2_cases) {
+    EXPECT_EQ(sc::fixmath::exp2_frac_q63(in), out) << std::hex << in;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Arrival statistics (all seeded; bounds are deterministic, not flaky)
 // ---------------------------------------------------------------------------
