@@ -218,6 +218,7 @@ int main(int argc, char** argv) {
                  san.report.sessions_per_vsec);
   session.metric("san.allocs_per_session", "1/session",
                  san.allocs_per_session);
+  session.metric("san.peak_heap_mb", "MB", san.peak_heap_mb);
 
   const TimedReport bulk = timed_run("bulk", bulk_scale());
   session.metric("bulk.allocs_per_session", "1/session",

@@ -3,7 +3,7 @@
 // `Bytes` owns storage, `ByteView` is a borrowed span, `SharedBytes` is
 // an immutable buffer many holders share by reference, and `IoVec` is a
 // zero-copy gather list mixing borrowed and owned segments — the shape
-// Madeleine-style pack/unpack interfaces and the marshallers want.
+// the marshallers and the stream adapters want.
 //
 // A writer picks how its bytes travel by the type it hands the stack:
 // a `ByteView` borrows storage the caller may reuse, so the stack
@@ -73,9 +73,10 @@ inline ByteView view_of(const void* p, std::size_t n) {
 /// this count to an atomic one.
 ///
 /// The handle stays one pointer wide on purpose: simnet's delivery
-/// closure and NetDriver's paced closure each carry one next to a
-/// `Bytes`, and 48 B is EventFn's inline budget (a `std::shared_ptr`
-/// would cost one heap allocation per frame).
+/// closure, NetDriver's paced closure, SanDriver's injection closure
+/// and MadIO's dispatch closure each carry one next to a `Bytes`, and
+/// 48 B is EventFn's inline budget (a `std::shared_ptr` would cost one
+/// heap allocation per frame).
 class SharedBytes {
  public:
   SharedBytes() noexcept = default;

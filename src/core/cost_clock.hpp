@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "core/time.hpp"
 
@@ -26,7 +25,6 @@ namespace padico::core {
 /// implementation keeps a zero-copy path (omniORB's trick; Mico and
 /// ORBacus pay it, which is exactly what caps them in Figure 3).
 struct CostModel {
-  std::string name;
   Duration send_overhead = 0;
   Duration recv_overhead = 0;
   std::uint64_t copy_bytes_per_second = 0;

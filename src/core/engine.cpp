@@ -9,6 +9,17 @@ void Engine::publish_queue_gauges() noexcept {
   buckets_gauge_->set(static_cast<std::int64_t>(queue_.occupied_buckets()));
 }
 
+namespace {
+
+/// Frees a node once its closure has run, also when it throws.
+struct Release {
+  EventQueue& queue;
+  std::uint32_t node;
+  ~Release() { queue.release(node); }
+};
+
+}  // namespace
+
 bool Engine::step() {
   SimTime t = 0;
   const std::uint32_t node = queue_.pop(t);
@@ -16,13 +27,14 @@ bool Engine::step() {
   now_ = t;
   ++processed_;
   events_counter_->add();
-  struct Release {
-    EventQueue& queue;
-    std::uint32_t node;
-    ~Release() { queue.release(node); }
-  } release{queue_, node};
+  Release release{queue_, node};
   queue_.fn(node)();
   return true;
+}
+
+void Engine::run_parked(std::uint32_t handle) {
+  Release release{queue_, handle};
+  queue_.fn(handle)();
 }
 
 std::size_t Engine::run_until_idle() {

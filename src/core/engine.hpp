@@ -9,7 +9,9 @@
 // The queue is a three-level timing wheel (a ring of per-ns buckets, a
 // coarse wheel of ring-wide slots and a far heap; see
 // core/event_queue.hpp).  A closure is built straight into its pooled
-// node and runs there.  See DESIGN.md "Engine internals".
+// node and runs there; a parked closure (`park`) is built the same way
+// for a layer that queues node handles of its own.  See DESIGN.md
+// "Engine internals".
 #pragma once
 
 #include <cstddef>
@@ -65,6 +67,24 @@ class Engine {
   void post(F&& fn) {
     schedule_at(now_, std::forward<F>(fn));
   }
+
+  /// Build `fn` in a pooled event node that no queue level holds and
+  /// return the node's handle: a parked closure, for a layer that
+  /// keeps its own FIFO of handles (net::Arbitration).  It never moves
+  /// and does not count in pending_count(); run_parked runs it in
+  /// place, drop_parked destroys it unrun, and one of them must.
+  template <typename F>
+  std::uint32_t park(F&& fn) {
+    return queue_.park(std::forward<F>(fn));
+  }
+
+  /// Run parked closure `handle` where it lies, then free its node
+  /// (also when the closure throws).  Not an event: nothing is counted
+  /// and now() does not move.
+  void run_parked(std::uint32_t handle);
+
+  /// Destroy parked closure `handle` unrun and free its node.
+  void drop_parked(std::uint32_t handle) noexcept { queue_.release(handle); }
 
   /// True while at least one event is queued.
   bool pending() const noexcept { return !queue_.empty(); }

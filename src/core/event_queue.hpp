@@ -30,7 +30,9 @@
 // Event nodes are 64 B and never move: they live in fixed chunks with
 // a free list, push builds the closure straight into its node, and
 // pop hands the node out so the engine runs the closure where it lies
-// before releasing it.  Steady-state scheduling allocates nothing.
+// before releasing it.  Steady-state scheduling allocates nothing.  A
+// node can also be parked: built but held by no level, for a caller
+// that keeps its own queue of node handles (net::Arbitration).
 //
 // Ordering contract: the caller assigns seq monotonically and never
 // pushes t below the last popped time (the engine clamps to now()).
@@ -127,17 +129,33 @@ class EventQueue {
     }
   }
 
+  /// Build `f` in a pooled node that no level holds (a parked closure,
+  /// see Engine::park) and return the node; it counts in no size until
+  /// `release`.  An EventFn argument must be an rvalue.
+  template <typename F>
+  std::uint32_t park(F&& f) {
+    const std::uint32_t idx = alloc_node();
+    try {
+      node(idx).fn.emplace(std::forward<F>(f));
+    } catch (...) {
+      release(idx);
+      throw;
+    }
+    return idx;
+  }
+
   /// Unlink the (t, seq)-minimum: its instant goes to `t_out` and its
   /// node is returned, out of every list until `release`; kNone when
   /// empty.  Consecutive pops at one instant hit a cached bucket — a
   /// same-timestamp batch never re-probes the bitmaps or the heap.
   std::uint32_t pop(SimTime& t_out) noexcept;
 
-  /// The closure of a popped node.  Nodes never move, so it may run in
-  /// place while it pushes more events.
+  /// The closure of a popped or parked node.  Nodes never move, so it
+  /// may run in place while it pushes more events.
   EventFn& fn(std::uint32_t idx) noexcept { return node(idx).fn; }
 
-  /// Destroy a popped node's closure and return the node to the pool.
+  /// Destroy a popped or parked node's closure and return the node to
+  /// the pool.
   void release(std::uint32_t idx) noexcept {
     Node& n = node(idx);
     n.fn.reset();

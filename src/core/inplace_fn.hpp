@@ -18,8 +18,8 @@
 //     closure straight into its event node,
 //   * a callable is stored inline iff it fits, is no more aligned than
 //     max_align_t, and is nothrow-move-constructible — the move must
-//     not throw because containers (the arbitration rings) relocate
-//     closures under noexcept,
+//     not throw because InplaceFn's own moves are noexcept and
+//     relocate the callable,
 //   * invoking an empty InplaceFn is undefined (the engine never
 //     stores empty events).
 //

@@ -25,10 +25,7 @@ SanDriver::SanDriver(core::Host& host, simnet::Fabric& fabric,
   }
   net_->set_receiver(host_->id(), [this](core::NodeId src, core::Bytes msg,
                                          core::SharedBytes tail) {
-    // No in-tree sender hands the SAN a shared tail; one that does
-    // gets its bytes appended, so the frame stays one buffer.
-    msg.insert(msg.end(), tail.data(), tail.data() + tail.size());
-    on_wire(src, std::move(msg));
+    on_wire(src, std::move(msg), std::move(tail));
   });
 }
 
@@ -38,14 +35,15 @@ bool SanDriver::reaches(core::NodeId node) const {
   return node != host_->id() && net_->attached(node);
 }
 
-void SanDriver::send(core::NodeId dst, core::Bytes frame) {
+void SanDriver::send(core::NodeId dst, core::Bytes frame,
+                     core::SharedBytes tail) {
   if (frame.size() < kFrameHeader) {
     throw std::invalid_argument(
         "SanDriver::send(): a " + std::to_string(frame.size()) +
         "-byte frame has no room for the " + std::to_string(kFrameHeader) +
         "-byte header");
   }
-  Pending msg{std::move(frame), next_seq_++};
+  Pending msg{std::move(frame), std::move(tail), next_seq_++};
   auto it = stalled_.find(dst);
   if (it != stalled_.end()) {
     it->second.push_back(std::move(msg));  // behind the rendezvous
@@ -55,7 +53,8 @@ void SanDriver::send(core::NodeId dst, core::Bytes frame) {
 }
 
 bool SanDriver::start(core::NodeId dst, Pending& msg) {
-  if (msg.frame.size() - kFrameHeader > kCosts.eager_threshold) {
+  if (msg.frame.size() - kFrameHeader + msg.tail.size() >
+      kCosts.eager_threshold) {
     // Rendezvous: ask first; the message, and every later one to
     // `dst`, waits for the ACK so nothing overtakes the large one.
     ++rendezvous_sent_;
@@ -63,7 +62,7 @@ bool SanDriver::start(core::NodeId dst, Pending& msg) {
     return false;
   }
   ++eager_sent_;
-  emit(dst, kEager, msg.seq, std::move(msg.frame));
+  emit(dst, kEager, msg.seq, std::move(msg.frame), std::move(msg.tail));
   return true;
 }
 
@@ -73,7 +72,8 @@ void SanDriver::on_ack(core::NodeId src, std::uint32_t seq) {
   // forged one is dropped.
   if (it == stalled_.end() || it->second.front().seq != seq) return;
   std::deque<Pending>& queue = it->second;
-  emit(src, kData, seq, std::move(queue.front().frame));
+  emit(src, kData, seq, std::move(queue.front().frame),
+       std::move(queue.front().tail));
   queue.pop_front();
   while (!queue.empty()) {
     if (!start(src, queue.front())) return;  // the next rendezvous
@@ -83,7 +83,7 @@ void SanDriver::on_ack(core::NodeId src, std::uint32_t seq) {
 }
 
 void SanDriver::emit(core::NodeId dst, FrameType type, std::uint32_t seq,
-                     core::Bytes frame) {
+                     core::Bytes frame, core::SharedBytes tail) {
   frame[0] = type;
   std::memset(frame.data() + 1, 0, 3);
   std::memcpy(frame.data() + 4, &seq, sizeof(seq));
@@ -92,16 +92,21 @@ void SanDriver::emit(core::NodeId dst, FrameType type, std::uint32_t seq,
   core::Engine& eng = host_->engine();
   const core::Duration cost =
       kCosts.per_message +
-      static_cast<core::Duration>(
-          std::llround(kCosts.per_byte_ns * static_cast<double>(frame.size())));
+      static_cast<core::Duration>(std::llround(
+          kCosts.per_byte_ns * static_cast<double>(frame.size() + tail.size())));
   cpu_busy_until_ = std::max(cpu_busy_until_, eng.now()) + cost;
-  eng.schedule_at(cpu_busy_until_,
-                  [this, dst, frame = std::move(frame)]() mutable {
-                    net_->send(host_->id(), dst, std::move(frame));
-                  });
+  auto inject = [this, dst, frame = std::move(frame),
+                 tail = std::move(tail)]() mutable {
+    net_->send(host_->id(), dst, std::move(frame), std::move(tail));
+  };
+  // One injection closure per SAN message: it must stay inside
+  // EventFn's inline budget, or every message pays a heap allocation.
+  static_assert(sizeof(inject) <= core::EventFn::kInlineSize);
+  eng.schedule_at(cpu_busy_until_, std::move(inject));
 }
 
-void SanDriver::on_wire(core::NodeId src, core::Bytes frame) {
+void SanDriver::on_wire(core::NodeId src, core::Bytes frame,
+                        core::SharedBytes tail) {
   if (frame.size() < kFrameHeader) return;  // malformed; drop
   std::uint32_t seq = 0;
   std::memcpy(&seq, frame.data() + 4, sizeof(seq));
@@ -115,7 +120,7 @@ void SanDriver::on_wire(core::NodeId src, core::Bytes frame) {
       return;
     case kEager:
     case kData:
-      if (recv_) recv_(src, std::move(frame), kFrameHeader);
+      if (recv_) recv_(src, std::move(frame), kFrameHeader, std::move(tail));
       return;
     default:
       return;  // unknown frame type; drop

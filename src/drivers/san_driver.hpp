@@ -20,13 +20,18 @@
 // Buffers: the caller builds each frame with `kFrameHeader` bytes of
 // headroom in front of the payload; the driver stamps its header there
 // and the same buffer travels the wire and reaches the receiver, which
-// gets `(frame, kFrameHeader)` — no copy on either side.
+// gets `(frame, kFrameHeader, tail)` — no copy on either side.  A
+// message may also carry a shared tail (core::SharedBytes): it rides
+// behind the frame by reference as simnet's message tail, and every
+// cost, the eager/rendezvous choice and every wire instant read head +
+// tail, so it lands exactly when the same bytes copied into the frame
+// would.
 //
 // Wire format, one simnet message per frame (host byte order):
 //   [u8 type][u8 reserved][u16 reserved][u32 seq]  = 8 header bytes,
-// followed by the payload for kEager / kData frames.  `seq` comes from
-// one driver-wide counter, one number per `send`; a REQ carries its
-// message's number and the ACK must echo it.
+// followed by the payload (frame, then tail) for kEager / kData frames.
+// `seq` comes from one driver-wide counter, one number per `send`; a
+// REQ carries its message's number and the ACK must echo it.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +61,11 @@ constexpr GmCosts gm_costs() { return {}; }
 
 class SanDriver {
  public:
-  /// Receives a whole wire frame; the payload starts at `offset`.
+  /// Receives a whole wire frame; the payload starts at `offset` and
+  /// ends with `tail` (empty unless the sender passed one).
   using RecvFn = std::function<void(core::NodeId src, core::Bytes frame,
-                                    std::size_t offset)>;
+                                    std::size_t offset,
+                                    core::SharedBytes tail)>;
 
   static constexpr std::size_t kFrameHeader = 8;
 
@@ -76,10 +83,11 @@ class SanDriver {
 
   /// Queue `frame` for delivery to `dst`: its first `kFrameHeader`
   /// bytes are headroom the driver overwrites with its header, the
-  /// rest is the payload.  Returns immediately; injection cost,
-  /// rendezvous and wire time all unfold in virtual time.  Throws
-  /// std::invalid_argument if `frame` is shorter than the headroom.
-  void send(core::NodeId dst, core::Bytes frame);
+  /// rest, then `tail` (by reference), is the payload.  Returns
+  /// immediately; injection cost, rendezvous and wire time all unfold
+  /// in virtual time.  Throws std::invalid_argument if `frame` is
+  /// shorter than the headroom.
+  void send(core::NodeId dst, core::Bytes frame, core::SharedBytes tail = {});
 
   bool reaches(core::NodeId node) const;
 
@@ -99,6 +107,7 @@ class SanDriver {
 
   struct Pending {
     core::Bytes frame;
+    core::SharedBytes tail;
     std::uint32_t seq;
   };
 
@@ -107,8 +116,8 @@ class SanDriver {
   bool start(core::NodeId dst, Pending& msg);
   void on_ack(core::NodeId src, std::uint32_t seq);
   void emit(core::NodeId dst, FrameType type, std::uint32_t seq,
-            core::Bytes frame);
-  void on_wire(core::NodeId src, core::Bytes frame);
+            core::Bytes frame, core::SharedBytes tail = {});
+  void on_wire(core::NodeId src, core::Bytes frame, core::SharedBytes tail);
 
   core::Host* host_;
   simnet::Network* net_;

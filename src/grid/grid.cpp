@@ -200,8 +200,9 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
     auto driver = std::make_unique<vlink::NetDriver>(node.host(), net, method);
     driver->set_net_class(model.net_class);
     driver->set_caps(base_caps);
-    driver->set_dispatch([access = &node.access()](core::EventFn fn) {
-      access->post_sys(std::move(fn));
+    driver->set_dispatch([arb = &node.access().arbitration()](
+                             std::uint32_t parked) {
+      arb->enqueue_parked(net::Substrate::sys, parked);
     });
     vlink::NetDriver* base = driver.get();
     vl.add_driver(std::move(driver));

@@ -103,22 +103,26 @@ Circuit::~Circuit() {
 }
 
 void Circuit::send_control(core::NodeId dst, wire::FrameType type) {
-  mad::PackHandle handle = mad_->begin_packing(*channel_, dst);
+  mad::PackHandle handle =
+      mad_->begin_packing(*channel_, dst, wire::kHeaderSize);
   wire::Header h = net::tagged_header(tag_, node_, channel_->id, type);
   h.dst_port = port_;  // establishment frames carry the rendezvous port
-  handle.pack(wire::encode(h));
+  wire::encode_into(h, handle.reserve(wire::kHeaderSize));
   mad_->end_packing(std::move(handle));
 }
 
-mad::PackHandle Circuit::begin(int dst_rank) {
+mad::PackHandle Circuit::begin(int dst_rank, std::size_t size_hint) {
   const core::NodeId dst = group_.node(dst_rank);  // throws on bad rank
   if (dst_rank == rank_) {
     throw std::invalid_argument("circuit::Circuit: rank " +
                                 std::to_string(rank_) + " sending to itself");
   }
-  mad::PackHandle handle = mad_->begin_packing(*channel_, dst);
-  // end() finalises the control header; the context word records who
-  // opened the message (high half) and for which rank (low half).
+  mad::PackHandle handle =
+      mad_->begin_packing(*channel_, dst, wire::kHeaderSize + size_hint);
+  // The control header's bytes come first; end() fills them in.  The
+  // context word records who opened the message (high half) and for
+  // which rank (low half).
+  handle.reserve(wire::kHeaderSize);
   handle.set_context((static_cast<std::uint32_t>(rank_) << 16) |
                      static_cast<std::uint32_t>(dst_rank));
   return handle;
@@ -140,10 +144,12 @@ void Circuit::end(mad::PackHandle handle) {
   }
   // The sequence number is consumed HERE, at flush time — an abandoned
   // handle never burns one, so seq_gaps() genuinely stays 0 on a
-  // reliable SAN.
-  handle.prepend(wire::encode(net::tagged_header(
-      tag_, node_, seq_.next(static_cast<int>(dst_rank)),
-      wire::FrameType::data)));
+  // reliable SAN.  It fills the header bytes begin() reserved.
+  std::uint8_t* header = handle.bytes_at(0, wire::kHeaderSize);
+  wire::encode_into(
+      net::tagged_header(tag_, node_, seq_.next(static_cast<int>(dst_rank)),
+                         wire::FrameType::data),
+      header);
   ++sent_;
   obs_sends_->add();
   mad_->host().engine().tracer().instant(
@@ -157,7 +163,7 @@ void Circuit::drop() noexcept {
 }
 
 void Circuit::send(int dst_rank, core::ByteView data, mad::SendMode mode) {
-  mad::PackHandle handle = begin(dst_rank);
+  mad::PackHandle handle = begin(dst_rank, data.size());
   handle.pack(data, mode);
   end(std::move(handle));
 }
@@ -229,10 +235,12 @@ void Circuit::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
               drop();
               return;
             }
-            obs::Scope scope(mad_->host().engine().tracer(),
-                             obs::Cat::circuit, trace_recv_,
+            core::Engine& engine = mad_->host().engine();
+            obs::Scope scope(engine.tracer(), obs::Cat::circuit, trace_recv_,
                              static_cast<std::uint32_t>(node_));
             handler_(src_rank, *owned);
+            // What the handler left of the buffer goes back to the pool.
+            engine.bytes_pool().release(owned->take_buffer());
           });
       return;
     }

@@ -120,15 +120,17 @@ class Circuit {
   /// mismatch); Grid::make_circuit turns this into an exception.
   bool refused() const noexcept { return refused_; }
 
-  /// Open a message towards `dst_rank` (not this endpoint's own rank).
-  /// Append payload segments with PackHandle::pack under any SendMode,
-  /// then flush with end().  Throws std::out_of_range for a rank
-  /// outside the group and std::invalid_argument for a self-send.
-  mad::PackHandle begin(int dst_rank);
+  /// Open a message towards `dst_rank` (not this endpoint's own rank),
+  /// with room for `size_hint` payload bytes.  Append payload segments
+  /// with PackHandle::pack under any SendMode, then flush with end().
+  /// Throws std::out_of_range for a rank outside the group and
+  /// std::invalid_argument for a self-send.
+  mad::PackHandle begin(int dst_rank, std::size_t size_hint = 0);
 
-  /// Flush: prepends the 24-byte circuit control header (the sequence
-  /// number is consumed here, so an abandoned handle never burns one)
-  /// and hands header + payload to Madeleine as one hardware message.
+  /// Flush: fills in the 24-byte circuit control header that begin()
+  /// reserved in front of the payload (the sequence number is consumed
+  /// here, so an abandoned handle never burns one) and hands header +
+  /// payload to Madeleine as one hardware message.
   void end(mad::PackHandle handle);
 
   /// Convenience: begin + pack(data, mode) + end.  With the default

@@ -75,23 +75,21 @@ namespace profiles {
 // VLink's 10.2); the copying marshalers additionally pay a per-byte
 // pass that caps Figure 3 (Mico ~55 MB/s, ORBacus ~63 MB/s, §5 text).
 OrbProfile omniorb3() {
-  return {"omniORB-3",
-          {"omniORB-3", core::nanoseconds(5900), core::nanoseconds(6300), 0}};
+  return {"omniORB-3", {core::nanoseconds(5900), core::nanoseconds(6300), 0}};
 }
 
 OrbProfile omniorb4() {
-  return {"omniORB-4",
-          {"omniORB-4", core::nanoseconds(5000), core::nanoseconds(5300), 0}};
+  return {"omniORB-4", {core::nanoseconds(5000), core::nanoseconds(5300), 0}};
 }
 
 OrbProfile mico() {
-  return {"Mico", {"Mico", core::nanoseconds(26000), core::nanoseconds(29000),
-                   59'700'000}};
+  return {"Mico",
+          {core::nanoseconds(26000), core::nanoseconds(29000), 59'700'000}};
 }
 
 OrbProfile orbacus() {
-  return {"ORBacus", {"ORBacus", core::nanoseconds(22000),
-                      core::nanoseconds(24000), 68'500'000}};
+  return {"ORBacus",
+          {core::nanoseconds(22000), core::nanoseconds(24000), 68'500'000}};
 }
 
 }  // namespace profiles

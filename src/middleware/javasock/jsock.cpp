@@ -9,8 +9,7 @@ core::CostModel jvm_costs() {
   // pays a hefty JNI crossing + heap copy on both ends of every call,
   // but bulk data still streams near the wire rate (the heap copy
   // runs far above the SAN's 250 MB/s).
-  return {"JVM-1.4", core::nanoseconds(18000), core::nanoseconds(14000),
-          500'000'000};
+  return {core::nanoseconds(18000), core::nanoseconds(14000), 500'000'000};
 }
 
 JavaSocket::JavaSocket(std::unique_ptr<vlink::Link> link,

@@ -10,7 +10,7 @@ core::CostModel mpich_costs() {
   // Table 1: MPICH-1.2.5 one-way 12.06 us against Circuit's 8.4 — the
   // ch_mad device adds ~4 us of request bookkeeping per message,
   // split across sender and receiver; bulk data stays zero-copy.
-  return {"MPICH-1.2.5", core::nanoseconds(2300), core::nanoseconds(1800), 0};
+  return {core::nanoseconds(2300), core::nanoseconds(1800), 0};
 }
 
 Comm::Comm(circuit::Circuit& endpoint, core::CostModel costs)
@@ -62,8 +62,9 @@ core::SimTime Comm::post_send(int dst_rank, int tag, core::ByteView data) {
           payload = std::move(payload)]() mutable {
         if (!*alive) return;
         if (ep_ != nullptr) {
-          mad::PackHandle handle = ep_->begin(dst_rank);
-          handle.pack(std::move(envelope));
+          mad::PackHandle handle =
+              ep_->begin(dst_rank, envelope.size() + payload.size());
+          handle.pack(core::view_of(envelope));
           // Borrowed only until end() flushes, inside this event.
           handle.pack(core::view_of(payload), mad::SendMode::later);
           ep_->end(std::move(handle));

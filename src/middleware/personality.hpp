@@ -39,7 +39,6 @@ class Personality {
   Personality& operator=(const Personality&) = delete;
 
   const std::string& name() const noexcept { return name_; }
-  const core::CostModel& costs() const noexcept { return costs_; }
   core::Engine& engine() const noexcept { return *engine_; }
 
   /// Charge the per-message send/receive cost for `bytes` of payload

@@ -15,26 +15,32 @@ Arbitration::Arbitration(core::Engine& engine) : engine_(&engine) {
   obs_dispatch_ns_[1] = &reg.counter("arb.dispatch_ns.mad");
 }
 
-void Arbitration::EventRing::push(core::EventFn fn) {
+Arbitration::~Arbitration() {
+  for (HandleRing& ring : queue_) {
+    while (!ring.empty()) engine_->drop_parked(ring.pop());
+  }
+}
+
+void Arbitration::HandleRing::push(std::uint32_t handle) {
   if (size_ == slots_.size()) {
-    // Full (or never used): move the closures, oldest first, into a
+    // Full (or never used): copy the handles, oldest first, into a
     // ring twice the size.
-    std::vector<core::EventFn> grown(std::max<std::size_t>(1, 2 * size_));
+    std::vector<std::uint32_t> grown(std::max<std::size_t>(1, 2 * size_));
     for (std::size_t i = 0; i < size_; ++i) {
-      grown[i] = std::move(slots_[(head_ + i) & mask()]);
+      grown[i] = slots_[(head_ + i) & mask()];
     }
     slots_ = std::move(grown);
     head_ = 0;
   }
-  slots_[(head_ + size_) & mask()] = std::move(fn);
+  slots_[(head_ + size_) & mask()] = handle;
   ++size_;
 }
 
-core::EventFn Arbitration::EventRing::pop() noexcept {
-  core::EventFn fn = std::move(slots_[head_]);
+std::uint32_t Arbitration::HandleRing::pop() noexcept {
+  const std::uint32_t handle = slots_[head_];
   head_ = (head_ + 1) & mask();
   --size_;
-  return fn;
+  return handle;
 }
 
 void Arbitration::set_policy(int sys_weight, int mad_weight) {
@@ -43,8 +49,13 @@ void Arbitration::set_policy(int sys_weight, int mad_weight) {
   credit_ = weight_[cur_];  // fresh turn under the new policy
 }
 
-void Arbitration::enqueue(Substrate s, core::EventFn fn) {
-  queue_[static_cast<int>(s)].push(std::move(fn));
+void Arbitration::enqueue_parked(Substrate s, std::uint32_t handle) {
+  try {
+    queue_[static_cast<int>(s)].push(handle);
+  } catch (...) {
+    engine_->drop_parked(handle);  // ours from the call on
+    throw;
+  }
   if (!pumping_) {
     pumping_ = true;
     engine_->schedule_after(dispatch_cost_, [this] { pump(); });
@@ -73,7 +84,7 @@ void Arbitration::pump() {
     return;
   }
   if (credit_ <= 0) credit_ = weight_[cur_];  // other side idle: renew
-  core::EventFn fn = queue_[cur_].pop();
+  const std::uint32_t handle = queue_[cur_].pop();
   --credit_;
   ++dispatched_[cur_];
   obs_dispatch_[cur_]->add();
@@ -85,7 +96,7 @@ void Arbitration::pump() {
       cur_ == static_cast<int>(Substrate::mad) ? "arb.dispatch.mad"
                                                : "arb.dispatch.sys",
       engine_->now(), dispatch_cost_);
-  fn();
+  engine_->run_parked(handle);
   engine_->schedule_after(dispatch_cost_, [this] { pump(); });
 }
 

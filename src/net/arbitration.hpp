@@ -17,16 +17,20 @@
 //
 // Units / ownership / determinism: `dispatch_cost` / `switch_cost` are
 // virtual nanoseconds.  An Arbitration borrows its Engine and is owned
-// by the node's NetAccess; queued closures are owned until dispatched
-// (or until the Arbitration dies).  Each substrate's queue is an
-// `EventRing`: a FIFO that allocates nothing until its first enqueue,
-// then reuses its storage, so an idle node pays no heap for either
-// queue.  The pump's state machine is driven only by engine events, so
-// dispatch order is bit-identical across runs.
+// by the node's NetAccess.  A queued closure is built once, parked in
+// an engine event node that never moves (core::Engine::park), and runs
+// there when dispatched; the Arbitration owns it until then and drops
+// it unrun when it dies, so an Arbitration must die before its Engine.
+// Each substrate's queue is a `HandleRing` of 4-byte node handles: a
+// FIFO that allocates nothing until its first enqueue, then reuses its
+// storage, so an idle node pays no heap for either queue.  The pump's
+// state machine is driven only by engine events, so dispatch order is
+// bit-identical across runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -41,6 +45,8 @@ class Arbitration {
   explicit Arbitration(core::Engine& engine);
   Arbitration(const Arbitration&) = delete;
   Arbitration& operator=(const Arbitration&) = delete;
+  /// Drops every closure still queued, unrun.
+  ~Arbitration();
 
   /// Set the interleave weights (events per turn); clamped to >= 1.
   /// May be called at any time, including mid-run.
@@ -58,9 +64,17 @@ class Arbitration {
   core::Duration dispatch_cost() const noexcept { return dispatch_cost_; }
   core::Duration switch_cost() const noexcept { return switch_cost_; }
 
-  /// Queue one event for dispatch under the policy.  `core::EventFn`
-  /// carries the closure inline (no allocation per queued frame).
-  void enqueue(Substrate s, core::EventFn fn);
+  /// Queue one event for dispatch under the policy.  The callable is
+  /// built once, in a parked engine node (no allocation per queued
+  /// frame), and runs there; an EventFn argument must be an rvalue.
+  template <typename F>
+  void enqueue(Substrate s, F&& fn) {
+    enqueue_parked(s, engine_->park(std::forward<F>(fn)));
+  }
+
+  /// Queue a closure the caller parked on this Arbitration's engine
+  /// (core::Engine::park); the Arbitration owns it from here on.
+  void enqueue_parked(Substrate s, std::uint32_t handle);
 
   std::uint64_t dispatched(Substrate s) const noexcept {
     return dispatched_[static_cast<int>(s)];
@@ -70,31 +84,32 @@ class Arbitration {
   }
 
  private:
-  /// One substrate's FIFO: a power-of-two ring of closures.  Empty
-  /// until the first push, which makes one slot; it doubles when full
-  /// and never shrinks, so it ends at the deepest backlog its node saw
-  /// and a steady stream of events allocates nothing.
-  class EventRing {
+  /// One substrate's FIFO: a power-of-two ring of parked-node
+  /// handles.  Empty until the first push, which makes one slot; it
+  /// doubles when full and never shrinks, so it ends at the deepest
+  /// backlog its node saw and a steady stream of events allocates
+  /// nothing.
+  class HandleRing {
    public:
     bool empty() const noexcept { return size_ == 0; }
     std::size_t size() const noexcept { return size_; }
 
-    void push(core::EventFn fn);
-    /// Remove and return the oldest closure; the ring must not be empty.
-    core::EventFn pop() noexcept;
+    void push(std::uint32_t handle);
+    /// Remove and return the oldest handle; the ring must not be empty.
+    std::uint32_t pop() noexcept;
 
    private:
     std::size_t mask() const noexcept { return slots_.size() - 1; }
 
-    std::vector<core::EventFn> slots_;  // size 0 or a power of two
-    std::size_t head_ = 0;              // index of the oldest closure
+    std::vector<std::uint32_t> slots_;  // size 0 or a power of two
+    std::size_t head_ = 0;              // index of the oldest handle
     std::size_t size_ = 0;
   };
 
   void pump();
 
   core::Engine* engine_;
-  EventRing queue_[2];
+  HandleRing queue_[2];
   int weight_[2] = {1, 1};
   core::Duration dispatch_cost_ = core::nanoseconds(40);
   core::Duration switch_cost_ = core::nanoseconds(500);

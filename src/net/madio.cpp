@@ -1,7 +1,7 @@
 #include "net/madio.hpp"
 
 #include <cassert>
-#include <memory>
+#include <cstring>
 #include <string>
 
 namespace padico::net {
@@ -29,45 +29,33 @@ MadIO::MadIO(NetAccess& access, mad::Madeleine& madeleine,
   obs_bytes_ = &reg.histogram("madio.msg_bytes");
 }
 
-obs::Gauge& MadIO::tag_pending(Tag tag) {
-  auto it = tag_gauges_.find(tag);
-  if (it == tag_gauges_.end()) {
-    it = tag_gauges_
-             .emplace(tag, &engine_->obs().gauge("madio.tag." +
-                                                 std::to_string(tag) +
-                                                 ".pending"))
-             .first;
-  }
-  return *it->second;
-}
-
-void MadIO::open_logical(Tag tag) { handlers_.try_emplace(tag); }
-
 void MadIO::set_handler(Tag tag, Handler handler) {
-  handlers_[tag] = std::move(handler);
+  entry(tag).handler = std::move(handler);
 }
 
 bool MadIO::reaches(core::NodeId node) const {
   return mad_->driver().reaches(node);
 }
 
-core::Bytes MadIO::make_header(Tag tag, core::NodeId dst,
-                               wire::FrameType type) {
+void MadIO::pack_header(mad::PackHandle& handle, Tag tag, core::NodeId dst,
+                        wire::FrameType type) {
   // Per-(tag, destination) stream sequence; shared header shape with
   // the circuit layer (net/tag.hpp), shared book with it too
-  // (net/seqbook.hpp).
-  return wire::encode(
-      tagged_header(tag, mad_->host().id(), seq_.next({tag, dst}), type));
+  // (net/seqbook.hpp).  Encoded in place, in the message's buffer.
+  wire::encode_into(
+      tagged_header(tag, mad_->host().id(), seq_.next({tag, dst}), type),
+      handle.reserve(wire::kHeaderSize));
 }
 
-mad::PackHandle MadIO::begin(Tag tag, core::NodeId dst) {
-  open_logical(tag);
-  mad::PackHandle handle = mad_->begin_packing(*channel_, dst);
+mad::PackHandle MadIO::begin(Tag tag, core::NodeId dst,
+                             std::size_t size_hint) {
+  mad::PackHandle handle = mad_->begin_packing(
+      *channel_, dst, (combining_ ? wire::kHeaderSize : 0) + size_hint);
   handle.set_context(tag);  // end() routes by what begin() declared
   if (combining_) {
     // Piggyback the control header onto the first data fragment: one
     // hardware message carries header + payload.
-    handle.pack(make_header(tag, dst, wire::FrameType::data));
+    pack_header(handle, tag, dst, wire::FrameType::data);
   }
   return handle;
 }
@@ -90,9 +78,10 @@ void MadIO::end(mad::PackHandle handle, Tag tag, core::NodeId dst) {
     // Naive multiplexing: the control header is its own hardware
     // message, the payload follows bare.  The SAN driver's per-dst
     // FIFO keeps the pair ordered.
-    mad::PackHandle header = mad_->begin_packing(*channel_, handle.dst());
-    header.pack(make_header(static_cast<Tag>(handle.context()), handle.dst(),
-                            wire::FrameType::header));
+    mad::PackHandle header =
+        mad_->begin_packing(*channel_, handle.dst(), wire::kHeaderSize);
+    pack_header(header, static_cast<Tag>(handle.context()), handle.dst(),
+                wire::FrameType::header);
     mad_->end_packing(std::move(header));
   }
   mad_->end_packing(std::move(handle));
@@ -107,7 +96,7 @@ void MadIO::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
       // header that preceded it.
       const Tag tag = pit->second.dst_port;
       pending_.erase(pit);
-      dispatch(tag, src, std::move(handle));
+      dispatch(tag, src, handle);
       return;
     }
   }
@@ -130,36 +119,63 @@ void MadIO::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
     pending_[src] = *h;  // payload message follows on the same FIFO
     return;
   }
-  dispatch(h->dst_port, src, std::move(handle));
+  dispatch(h->dst_port, src, handle);
 }
 
-void MadIO::dispatch(Tag tag, core::NodeId src, mad::UnpackHandle handle) {
+void MadIO::dispatch(Tag tag, core::NodeId src, mad::UnpackHandle& handle) {
   // Hand off to the node's I/O manager; the tag handler runs when the
-  // arbitration policy says so.  The handle (32 bytes) rides behind a
-  // pointer so the closure fits core::EventFn's inline budget.
-  obs::Gauge& pending = tag_pending(tag);
-  pending.add(1);
-  obs_depth_->record(static_cast<std::uint64_t>(pending.value()));
-  obs_bytes_->record(handle.remaining());
+  // arbitration policy says so.
+  TagEntry& e = entry(tag);
+  if (!e.pending) {
+    e.pending = &engine_->obs().gauge("madio.tag." + std::to_string(tag) +
+                                      ".pending");
+  }
+  e.pending->add(1);
+  obs_depth_->record(static_cast<std::uint64_t>(e.pending->value()));
+  obs_bytes_->record(handle.remaining() + handle.tail().size());
+  // The queued span's start instant has no room in the closure; it
+  // rides in the handle's scratch bytes.
   const core::SimTime t_post = engine_->now();
-  auto owned = std::make_unique<mad::UnpackHandle>(std::move(handle));
-  access_->post_mad([this, tag, src, owned = std::move(owned), t_post,
-                     &pending] {
-    pending.add(-1);
-    obs_dispatches_->add();
+  static_assert(sizeof(t_post) <= mad::UnpackHandle::kScratch);
+  std::memcpy(handle.scratch(), &t_post, sizeof(t_post));
+  const auto cursor = static_cast<std::uint32_t>(handle.consumed());
+  core::Bytes buf = handle.take_buffer();
+  auto queued = [entry = &e, src, cursor, buf = std::move(buf),
+                 tail = handle.take_tail()]() mutable {
+    entry->io->run(*entry, src, cursor, std::move(buf), std::move(tail));
+  };
+  // One closure per SAN message: it must stay inside EventFn's inline
+  // budget, or every message pays a heap allocation.
+  static_assert(sizeof(queued) <= core::EventFn::kInlineSize);
+  access_->post_mad(std::move(queued));
+}
+
+void MadIO::run(TagEntry& entry, core::NodeId src, std::uint32_t cursor,
+                core::Bytes buf, core::SharedBytes tail) {
+  entry.pending->add(-1);
+  obs_dispatches_->add();
+  mad::UnpackHandle handle(std::move(buf), cursor, std::move(tail));
+  obs::Tracer& tracer = engine_->tracer();
+  if (tracer.enabled(obs::Cat::madio)) {
     // The queued span covers hand-off to the arbitration up to the
     // moment the tag handler starts running.
-    engine_->tracer().complete(obs::Cat::madio, "madio.queued", t_post,
-                               engine_->now() - t_post);
-    auto it = handlers_.find(tag);
-    if (it == handlers_.end() || !it->second) {
-      ++dropped_;
-      obs_dropped_->add();
-      return;
-    }
-    obs::Scope scope(engine_->tracer(), obs::Cat::madio, "madio.dispatch");
-    it->second(src, *owned);
-  });
+    core::SimTime t_post = 0;
+    std::memcpy(&t_post, handle.scratch(), sizeof(t_post));
+    tracer.complete(obs::Cat::madio, "madio.queued", t_post,
+                    engine_->now() - t_post);
+  }
+  // Read before the handler runs: it may destroy this MadIO, never the
+  // engine's pool.
+  core::BytesPool& pool = engine_->bytes_pool();
+  if (!entry.handler) {
+    ++dropped_;
+    obs_dropped_->add();
+    pool.release(handle.take_buffer());
+    return;
+  }
+  obs::Scope scope(tracer, obs::Cat::madio, "madio.dispatch");
+  entry.handler(src, handle);
+  pool.release(handle.take_buffer());
 }
 
 }  // namespace padico::net

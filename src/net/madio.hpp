@@ -21,7 +21,18 @@
 //
 // Received messages are not dispatched inline: MadIO hands them to the
 // node's NetAccess, whose Arbitration decides when the tag handler
-// runs relative to IP-side traffic.
+// runs relative to IP-side traffic.  The dispatch closure holds the
+// message itself — its tag's entry, the source, the read cursor, the
+// pooled buffer and the shared tail — in EventFn's 48 inline bytes, so
+// queueing a message allocates nothing; the handler gets an
+// UnpackHandle rebuilt around them, and what it leaves of the buffer
+// goes back to the engine's pool.  The `madio.queued` span's start
+// instant rides in the handle's scratch bytes
+// (UnpackHandle::scratch(), the SAN driver header Madeleine has
+// already consumed).
+//
+// Sending writes the control header straight into the message's
+// pooled buffer (PackHandle::reserve); nothing per message allocates.
 //
 // Tags need no reservation across layers: a circuit's tag lives on the
 // circuit's own Madeleine channel (madeleine/circuit.hpp), so it never
@@ -31,15 +42,18 @@
 // its own — its cost is the header bytes it puts on the wire plus the
 // NetAccess dispatch below.  A MadIO borrows its NetAccess and
 // Madeleine (the Grid's SAN stack owns all three, bottom-up) and owns
-// its bootstrap channel (always Madeleine channel 0).  Handlers live in
-// a hash map and the per-(tag, node) sequence numbers in a SeqBook's
-// flat table — dispatch does point lookups only, never iterates
-// either, so slot order cannot leak into dispatch traces.
+// its bootstrap channel (always Madeleine channel 0).  Each tag has one
+// entry, created when a handler is set or its first message arrives:
+// the handler and the pending gauge.  A received message costs one
+// hash lookup of its entry; the queued closure points at the entry,
+// which never moves, so a handler may open tags while it runs.  The
+// per-(tag, node) sequence numbers live in a SeqBook's flat table.
+// Nothing iterates either table, so slot order cannot leak into
+// dispatch traces.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <utility>
 
@@ -67,16 +81,17 @@ class MadIO {
   mad::Madeleine& madeleine() const noexcept { return *mad_; }
   bool header_combining() const noexcept { return combining_; }
 
-  /// Declare a logical stream.  Sending on an undeclared tag opens it
-  /// implicitly; receiving on a tag with no handler counts as dropped.
-  void open_logical(Tag tag);
+  /// Declare a logical stream (create its entry).  Sending needs no
+  /// declaration; receiving on a tag with no handler counts as dropped.
+  void open_logical(Tag tag) { entry(tag); }
 
   /// Install (or, with an empty handler, clear) the handler of `tag`.
   void set_handler(Tag tag, Handler handler);
 
-  /// Open a message on `tag` towards `dst`.  With combining on, the
-  /// control header is already packed as the first segment.
-  mad::PackHandle begin(Tag tag, core::NodeId dst);
+  /// Open a message on `tag` towards `dst`, with room for `size_hint`
+  /// packed bytes.  With combining on, the control header is already
+  /// packed as the first segment.
+  mad::PackHandle begin(Tag tag, core::NodeId dst, std::size_t size_hint = 0);
 
   /// Flush.  With combining off this sends the detached header message
   /// first, then the payload message.
@@ -85,7 +100,7 @@ class MadIO {
   /// Convenience for the common single-segment case:
   /// begin + pack(data, safer) + end.
   void send(Tag tag, core::NodeId dst, core::ByteView data) {
-    mad::PackHandle handle = begin(tag, dst);
+    mad::PackHandle handle = begin(tag, dst, data.size());
     handle.pack(data, mad::SendMode::safer);
     end(std::move(handle), tag, dst);
   }
@@ -100,15 +115,27 @@ class MadIO {
   std::uint64_t seq_gaps() const noexcept { return seq_.gaps(); }
 
  private:
-  void on_channel_message(core::NodeId src, mad::UnpackHandle& handle);
-  void dispatch(Tag tag, core::NodeId src, mad::UnpackHandle handle);
-  core::Bytes make_header(Tag tag, core::NodeId dst,
-                          vlink::wire::FrameType type);
+  /// One tag's state.  Entries are never erased and never move (map
+  /// nodes), so a queued dispatch may point at its entry.
+  struct TagEntry {
+    MadIO* io;
+    Handler handler;
+    /// `madio.tag.<tag>.pending`, created at the tag's first dispatch:
+    /// messages handed to the arbitration but not yet run — the
+    /// per-tag queue depth upper layers tune against.
+    obs::Gauge* pending = nullptr;
+  };
 
-  /// The per-tag pending gauge (`madio.tag.<tag>.pending`), created on
-  /// first use; measures messages handed to the arbitration but not
-  /// yet run — the per-tag queue depth upper layers tune against.
-  obs::Gauge& tag_pending(Tag tag);
+  TagEntry& entry(Tag tag) {
+    return tags_.try_emplace(tag, TagEntry{this, {}, nullptr}).first->second;
+  }
+  void on_channel_message(core::NodeId src, mad::UnpackHandle& handle);
+  void dispatch(Tag tag, core::NodeId src, mad::UnpackHandle& handle);
+  void run(TagEntry& entry, core::NodeId src, std::uint32_t cursor,
+           core::Bytes buf, core::SharedBytes tail);
+  /// Append the control header of the next message on (tag, dst).
+  void pack_header(mad::PackHandle& handle, Tag tag, core::NodeId dst,
+                   vlink::wire::FrameType type);
 
   NetAccess* access_;
   mad::Madeleine* mad_;
@@ -123,10 +150,7 @@ class MadIO {
   obs::Counter* obs_dropped_;
   obs::Histogram* obs_depth_;
   obs::Histogram* obs_bytes_;
-  std::map<Tag, obs::Gauge*> tag_gauges_;
-  // Per-message lookups — hash maps; tag_gauges_ stays ordered (cold,
-  // touched at registration time only).
-  std::unordered_map<Tag, Handler> handlers_;
+  std::unordered_map<Tag, TagEntry> tags_;
   // Send keyed (tag, destination), receive keyed (tag, source).
   SeqBook<std::pair<Tag, core::NodeId>> seq_;
   // Combining off only: control header seen, payload message still due.

@@ -15,13 +15,16 @@
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN
 // stack) and installs the handler of kVLinkTag on it; the VLink owns
-// the driver itself.  A shared write's block is packed as a borrowed
-// Madeleine segment, like a copied write's bytes: the SAN message is
-// still gathered into one buffer (its single copy), so no tail crosses
-// the SAN.  A received frame arrives in the SAN message's own buffer,
-// which the link adopts (`take_buffer`, no copy).  Inherits
-// FrameDriver's connection table; no frame is paced here (the SAN has
-// no per-stream cap), so emit() ignores the connection's horizon.
+// the driver itself.  Each frame is one pooled Madeleine message: the
+// frame header is encoded in place behind MadIO's, a copied write's
+// bytes are appended (their single copy), and a shared write's block
+// is packed as the message's tail, so it crosses the SAN by reference
+// and the reading link reads the writer's own block.  A received frame
+// arrives in the SAN message's own buffer, which the link adopts
+// (`take_buffer`, no copy) with the tail (`take_tail`); leftover
+// storage goes back to the engine's pool.  Inherits FrameDriver's
+// connection table; no frame is paced here (the SAN has no per-stream
+// cap), so emit() ignores the connection's horizon.
 #pragma once
 
 #include "net/madio.hpp"

@@ -9,12 +9,13 @@
 // Units / ownership / determinism: dispatch costs are virtual
 // nanoseconds charged by the Arbitration.  A NetAccess borrows its
 // Host (the Grid owns both, one NetAccess per node) and owns its
-// Arbitration.  Posted closures run in FIFO order per substrate under
-// the weighted pump — never inline and never reordered — so dispatch
+// Arbitration.  A posted callable is built once, in a parked engine
+// event node, and runs there in FIFO order per substrate under the
+// weighted pump — never inline and never reordered — so dispatch
 // traces are bit-identical across runs.
 #pragma once
 
-#include <functional>
+#include <utility>
 
 #include "core/host.hpp"
 #include "net/arbitration.hpp"
@@ -32,13 +33,15 @@ class NetAccess {
   Arbitration& arbitration() noexcept { return arbitration_; }
 
   /// Post a SAN-side (MadIO) event for arbitrated dispatch.
-  void post_mad(core::EventFn fn) {
-    arbitration_.enqueue(Substrate::mad, std::move(fn));
+  template <typename F>
+  void post_mad(F&& fn) {
+    arbitration_.enqueue(Substrate::mad, std::forward<F>(fn));
   }
 
   /// Post an IP-side (SysIO) event for arbitrated dispatch.
-  void post_sys(core::EventFn fn) {
-    arbitration_.enqueue(Substrate::sys, std::move(fn));
+  template <typename F>
+  void post_sys(F&& fn) {
+    arbitration_.enqueue(Substrate::sys, std::forward<F>(fn));
   }
 
  private:

@@ -25,17 +25,14 @@ struct FlavorProfile {
 FlavorProfile flavor_profile(Flavor f) {
   switch (f) {
     case Flavor::jsock:
-      return {{"jsock", core::microseconds(4), core::microseconds(4),
-               1ull << 30},
-              16};
+      return {{core::microseconds(4), core::microseconds(4), 1ull << 30}, 16};
     case Flavor::soap:
-      return {{"soap", core::microseconds(20), core::microseconds(20),
-               200ull << 20},
+      return {{core::microseconds(20), core::microseconds(20), 200ull << 20},
               256};
     case Flavor::vio:
       break;
   }
-  return {{"vio", 0, 0, 0}, 0};
+  return {{0, 0, 0}, 0};
 }
 
 }  // namespace

@@ -142,9 +142,8 @@ void FrameDriver::ConnIndex::grow() {
 // FrameDriver
 // ---------------------------------------------------------------------------
 
-FrameDriver::FrameDriver(core::Host& host, std::string name,
-                         bool pooled_frames)
-    : Driver(std::move(name)), host_(&host), pooled_frames_(pooled_frames) {
+FrameDriver::FrameDriver(core::Host& host, std::string name)
+    : Driver(std::move(name)), host_(&host) {
   obs::Registry& reg = host.engine().obs();
   obs_frames_tx_ = &reg.counter("vlink.tx.frames");
   obs_bytes_tx_ = &reg.counter("vlink.tx.bytes");
@@ -207,13 +206,12 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
                                std::size_t offset, core::SharedBytes tail) {
   // Read before any callback below runs: a callback may destroy this
   // driver, never the engine's pool.
-  core::BytesPool* const pool =
-      pooled_frames_ ? &host_->engine().bytes_pool() : nullptr;
+  core::BytesPool& pool = host_->engine().bytes_pool();
   const std::optional<wire::Header> hdr = wire::decode(
       core::ByteView(frame.data() + offset, frame.size() - offset));
   if (!hdr) {
     ++malformed_;
-    if (pool) pool->release(std::move(frame));
+    pool.release(std::move(frame));
     return;
   }
   const wire::Header& h = *hdr;
@@ -280,7 +278,7 @@ void FrameDriver::handle_frame(core::NodeId src, core::Bytes frame,
       ++malformed_;
       break;
   }
-  if (pool) pool->release(std::move(frame));
+  pool.release(std::move(frame));
 }
 
 }  // namespace padico::vlink

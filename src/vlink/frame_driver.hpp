@@ -19,8 +19,8 @@
 // arbitration stack and ignores it.  A data frame is a 24-byte header,
 // the bytes of a `post_write(ByteView)` copied behind it, or the block
 // of a `post_write(SharedBytes)` as a tail that rides the frame by
-// reference (NetDriver passes it to simnet; MadIODriver gathers it
-// into the SAN message with the rest).
+// reference (NetDriver passes it to simnet, MadIODriver to the SAN
+// driver behind the message's pooled head).
 #pragma once
 
 #include <cstddef>
@@ -53,11 +53,9 @@ class FrameDriver : public Driver {
   std::uint64_t malformed_frames() const noexcept { return malformed_; }
 
  protected:
-  /// `pooled_frames`: the transport's frames come from the engine's
-  /// BytesPool (emit() acquires them there), so storage of received
-  /// frames goes back to it.  Otherwise frames are plain allocations,
-  /// and that storage is freed.
-  FrameDriver(core::Host& host, std::string name, bool pooled_frames);
+  /// Both transports take their frames from the engine's BytesPool,
+  /// so storage of received frames goes back to it.
+  FrameDriver(core::Host& host, std::string name);
 
   core::Host& host() const noexcept { return *host_; }
 
@@ -75,8 +73,8 @@ class FrameDriver : public Driver {
   /// frame, `frame[offset..]` then `tail` (the bytes before `offset`
   /// are the transport's own headers), sent by node `src`.  The driver
   /// takes the buffer: a data frame's link adopts it and the tail (see
-  /// Link::deliver), and whatever storage is left over is recycled
-  /// (see `pooled_frames`).  Counted and dropped: malformed frames, a
+  /// Link::deliver), and whatever storage is left over goes back to
+  /// the engine's BytesPool.  Counted and dropped: malformed frames, a
   /// connect frame for an id the index already holds (a live
   /// connection is never re-bound), and an accept, refuse or data
   /// frame whose `src` is not its connection's peer.
@@ -136,9 +134,6 @@ class FrameDriver : public Driver {
   std::uint64_t next_conn_ = 1;
   std::uint64_t malformed_ = 0;
   core::Port next_ephemeral_ = 49152;
-  // Next to the 16-bit port, in what would be padding: a 10k-node grid
-  // has ~20k drivers, and a wider driver shows in its peak RSS.
-  bool pooled_frames_;
   // obs instrumentation: node-wide vlink traffic totals.
   obs::Counter* obs_frames_tx_;
   obs::Counter* obs_bytes_tx_;

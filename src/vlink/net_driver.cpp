@@ -6,8 +6,7 @@
 namespace padico::vlink {
 
 NetDriver::NetDriver(core::Host& host, simnet::Network& net, std::string name)
-    : FrameDriver(host, std::move(name), /*pooled_frames=*/true),
-      net_(&net) {
+    : FrameDriver(host, std::move(name)), net_(&net) {
   net_->set_receiver(host.id(), [this](core::NodeId src, core::Bytes msg,
                                        core::SharedBytes tail) {
     on_message(src, std::move(msg), std::move(tail));
@@ -81,9 +80,10 @@ void NetDriver::on_message(core::NodeId src, core::Bytes msg,
                  t = std::move(tail)]() mutable {
     handle_frame(src, std::move(m), 0, std::move(t));
   };
-  // Every arbitrated frame: inside EventFn's inline budget too.
+  // Every arbitrated frame: inside EventFn's inline budget too.  It is
+  // built once, in its parked node, and runs there.
   static_assert(sizeof(handle) <= core::EventFn::kInlineSize);
-  dispatch_(std::move(handle));
+  dispatch_(host().engine().park(std::move(handle)));
 }
 
 }  // namespace padico::vlink

@@ -27,9 +27,12 @@
 // An optional dispatch hook defers frame handling to an external
 // scheduler: the Grid installs the node's NetAccess arbitration here so
 // that IP-side ("sysio") traffic contends with SAN-side traffic under
-// the paper's SysIO/MadIO interleaving policy.
+// the paper's SysIO/MadIO interleaving policy.  The hook takes a parked
+// engine node handle, so the frame's closure is built once and vlink
+// needs no type from the net layer.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 
 #include "simnet/network.hpp"
@@ -46,8 +49,10 @@ class NetDriver final : public FrameDriver {
   ~NetDriver() override;
 
   /// Route each received frame through `fn` instead of handling it
-  /// inline.  `fn` must eventually invoke the thunk it is given.
-  using DispatchFn = std::function<void(core::EventFn)>;
+  /// inline.  The frame's closure is built once, parked on the host's
+  /// engine (core::Engine::park), and `fn` takes over its handle: it
+  /// must eventually run it (Engine::run_parked) or drop it.
+  using DispatchFn = std::function<void(std::uint32_t parked)>;
   void set_dispatch(DispatchFn fn) { dispatch_ = std::move(fn); }
 
   bool reaches(core::NodeId node) const override;

@@ -200,6 +200,48 @@ TEST(Circuit, CheaperModeBorrowsLikeLater) {
   EXPECT_EQ(got, "ZZZ");
 }
 
+TEST(Circuit, MixedPackArrivesByteExact) {
+  // One message mixes every kind of segment: the control header
+  // begin() reserved and end() fills, a copied one, three borrowed ones
+  // and a shared tail.  Borrowed bytes are read at the flush, the tail
+  // is the sender's own block.
+  gr::Grid grid;
+  build_san_grid(grid, 2);
+  gr::CircuitSet set = grid.make_circuit("mx", cc::Group({0, 1}), 0x18, 4070);
+
+  const pc::SharedBytes block(pc::Bytes(2048, 'T'));
+  std::vector<std::string> segs;
+  std::string tail;
+  bool same_block = false;
+  set.at(1).set_recv_handler([&](int, mad::UnpackHandle& h) {
+    for (int i = 0; i < 4; ++i) segs.push_back(to_string(h.unpack(3)));
+    EXPECT_EQ(h.remaining(), 0u);
+    tail = to_string(h.tail().view());
+    same_block = h.tail().data() == block.data();
+  });
+
+  pc::Bytes copied(3, 'A');
+  pc::Bytes b1(3, 'b'), b2(3, 'c'), b3(3, 'd');
+  mad::PackHandle h = set.at(0).begin(1);
+  h.pack(pc::view_of(copied), mad::SendMode::safer);
+  h.pack(pc::view_of(b1), mad::SendMode::later);
+  h.pack(pc::view_of(b2), mad::SendMode::cheaper);
+  h.pack(pc::view_of(b3), mad::SendMode::later);
+  h.pack(block);
+  copied.assign(3, 'X');
+  b1.assign(3, 'B');
+  b2.assign(3, 'C');
+  b3.assign(3, 'D');
+  set.at(0).end(std::move(h));
+  grid.engine().run_until_idle();
+
+  EXPECT_EQ(segs, (std::vector<std::string>{"AAA", "BBB", "CCC", "DDD"}));
+  EXPECT_EQ(tail, std::string(2048, 'T'));
+  EXPECT_TRUE(same_block);
+  EXPECT_EQ(set.at(1).seq_gaps(), 0u);
+  EXPECT_EQ(set.at(1).dropped(), 0u);
+}
+
 TEST(Circuit, OverlappingGroupsAgreeOnChannels) {
   gr::Grid grid;
   build_san_grid(grid, 3);

@@ -267,3 +267,54 @@ TEST(EngineLifetime, DestroyingTheEngineDestroysEachPendingClosureOnce) {
   }
   EXPECT_EQ(destroyed, 600);
 }
+
+TEST(EngineLifetime, ParkedClosureIsBuiltOnceAndRunsInPlace) {
+  pc::Engine e;
+  int moves = 0, moves_at_run = -1;
+  const std::uint32_t h = e.park(MoveCounter(&moves, &moves_at_run));
+  // Parked, not scheduled: no queue level holds it.
+  EXPECT_FALSE(e.pending());
+  EXPECT_EQ(e.pending_count(), 0u);
+  EXPECT_EQ(e.run_until_idle(), 0u);
+  e.run_parked(h);
+  EXPECT_EQ(moves_at_run, 1);  // built in its node, never moved again
+  EXPECT_EQ(e.processed(), 0u);  // running it is not an event
+
+  // The node went back to the pool: the next closure reuses it.
+  const void* first_at = nullptr;
+  const void* second_at = nullptr;
+  struct Probe {
+    const void** at;
+    void operator()() const { *at = this; }
+  };
+  const std::uint32_t a = e.park(Probe{&first_at});
+  e.run_parked(a);
+  const std::uint32_t b = e.park(Probe{&second_at});
+  EXPECT_EQ(b, a);
+  e.run_parked(b);
+  EXPECT_EQ(second_at, first_at);
+}
+
+TEST(EngineLifetime, ThrowingParkedClosureFreesItsNode) {
+  pc::Engine e;
+  struct Thrower {
+    void operator()() const { throw std::runtime_error("boom"); }
+  };
+  const std::uint32_t h = e.park(Thrower{});
+  EXPECT_THROW(e.run_parked(h), std::runtime_error);
+  int ran = 0;
+  const std::uint32_t next = e.park([&ran] { ++ran; });
+  EXPECT_EQ(next, h);  // the thrower's node was freed
+  e.run_parked(next);
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(EngineLifetime, DroppedParkedClosureDiesUnrun) {
+  int destroyed = 0;
+  pc::Engine e;
+  const std::uint32_t h = e.park(DestroyCounter(&destroyed));
+  EXPECT_EQ(destroyed, 0);
+  e.drop_parked(h);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(e.pending_count(), 0u);
+}

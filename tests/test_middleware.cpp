@@ -42,11 +42,11 @@ std::string text(const pc::Bytes& b) { return std::string(b.begin(), b.end()); }
 // --- Personality base: cost charging ----------------------------------------
 
 TEST(Personality, CostModelMath) {
-  pc::CostModel zero_copy{"zc", pc::microseconds(2), pc::microseconds(3), 0};
+  pc::CostModel zero_copy{pc::microseconds(2), pc::microseconds(3), 0};
   EXPECT_EQ(zero_copy.send_cost(1 << 20), pc::microseconds(2));
   EXPECT_EQ(zero_copy.recv_cost(1 << 20), pc::microseconds(3));
 
-  pc::CostModel copying{"cp", pc::microseconds(2), pc::microseconds(3),
+  pc::CostModel copying{pc::microseconds(2), pc::microseconds(3),
                         50'000'000};  // 50 MB/s marshal pass
   // 1 MB at 50 MB/s is ~21 ms of copy on top of the fixed overhead.
   EXPECT_EQ(copying.copy_cost(50'000'000), pc::seconds(1));
@@ -69,7 +69,7 @@ TEST(Personality, BackToBackChargesTraceQueuedSpans) {
   struct Probe final : mw::Personality {
     explicit Probe(pc::Engine& engine)
         : Personality("probe",
-                      {"probe", pc::microseconds(3), pc::microseconds(4), 0},
+                      {pc::microseconds(3), pc::microseconds(4), 0},
                       engine) {}
   };
   pc::Engine engine;

@@ -71,6 +71,8 @@ namespace {
 
 constexpr std::size_t kHead = dr::SanDriver::kFrameHeader;
 
+std::string to_text(pc::ByteView v) { return std::string(v.begin(), v.end()); }
+
 /// A SAN frame: the driver's headroom, then `payload` bytes of `fill`.
 pc::Bytes san_frame(std::size_t payload, std::uint8_t fill = 0) {
   return pc::Bytes(kHead + payload, fill);
@@ -103,7 +105,8 @@ TEST(SanDriver, EagerDeliveryPaysInjectionAndWireCosts) {
   Stack s;
   pc::SimTime arrival = 0;
   pc::Bytes got;
-  s.d1->set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off) {
+  s.d1->set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off,
+                         pc::SharedBytes) {
     EXPECT_EQ(src, 0u);
     arrival = s.engine.now();
     got.assign(frame.begin() + static_cast<std::ptrdiff_t>(off), frame.end());
@@ -122,7 +125,8 @@ TEST(SanDriver, EagerDeliveryPaysInjectionAndWireCosts) {
 TEST(SanDriver, BackToBackSendsSerialiseOnTheHostCpu) {
   Stack s;
   std::vector<pc::SimTime> arrivals;
-  s.d1->set_receiver([&](pc::NodeId, pc::Bytes, std::size_t) {
+  s.d1->set_receiver([&](pc::NodeId, pc::Bytes, std::size_t,
+                         pc::SharedBytes) {
     arrivals.push_back(s.engine.now());
   });
   for (int i = 0; i < 4; ++i) s.d0->send(1, san_frame(8, 1));
@@ -142,7 +146,8 @@ TEST(SanDriver, LargeMessagesRendezvous) {
   const std::size_t big = dr::gm_costs().eager_threshold + 1;
   pc::SimTime small_arrival = 0, big_arrival = 0;
   std::vector<std::size_t> order;
-  s.d1->set_receiver([&](pc::NodeId, pc::Bytes frame, std::size_t off) {
+  s.d1->set_receiver([&](pc::NodeId, pc::Bytes frame, std::size_t off,
+                         pc::SharedBytes) {
     const std::size_t n = frame.size() - off;
     order.push_back(n);
     (n == big ? big_arrival : small_arrival) = s.engine.now();
@@ -179,7 +184,8 @@ TEST(SanDriver, FramesPassThroughInOneBuffer) {
   bool same_buffer = false;
   std::size_t offset = 0;
   std::string got;
-  s.d1->set_receiver([&](pc::NodeId, pc::Bytes f, std::size_t off) {
+  s.d1->set_receiver([&](pc::NodeId, pc::Bytes f, std::size_t off,
+                         pc::SharedBytes) {
     same_buffer = f.data() == sent && f.capacity() == 1000;
     offset = off;
     got.assign(f.begin() + static_cast<std::ptrdiff_t>(off), f.end());
@@ -200,13 +206,52 @@ TEST(SanDriver, RejectsFramesWithoutHeadroom) {
   EXPECT_EQ(s.d0->eager_sent(), 1u);
 }
 
+TEST(SanDriver, SharedTailIsTimedLikeTheSameBytesInTheFrame) {
+  // A tail rides by reference, but costs, the eager/rendezvous choice
+  // and every wire instant read head + tail: each message lands when
+  // the same bytes copied into the frame would.
+  struct Seen {
+    pc::SimTime at = 0;
+    std::size_t bytes = 0;
+    std::uint64_t wire_msgs = 0;
+    std::uint64_t rendezvous = 0;
+    bool operator==(const Seen&) const = default;
+  };
+  auto send = [](std::size_t head, std::size_t tail_bytes) {
+    Stack s;
+    Seen seen;
+    s.d1->set_receiver([&](pc::NodeId, pc::Bytes f, std::size_t off,
+                           pc::SharedBytes tail) {
+      seen.at = s.engine.now();
+      seen.bytes = f.size() - off + tail.size();
+    });
+    pc::SharedBytes tail;
+    if (tail_bytes > 0) tail = pc::SharedBytes(pc::Bytes(tail_bytes, 7));
+    s.d0->send(1, san_frame(head), tail);
+    s.engine.run_until_idle();
+    seen.wire_msgs = s.fabric.network(s.san).messages_sent();
+    seen.rendezvous = s.d0->rendezvous_sent();
+    return seen;
+  };
+  const std::size_t big = dr::gm_costs().eager_threshold + 1;
+  const Seen flat_big = send(big, 0);
+  EXPECT_EQ(flat_big.rendezvous, 1u);  // REQ + ACK + data
+  EXPECT_EQ(flat_big.wire_msgs, 3u);
+  EXPECT_EQ(send(64, big - 64), flat_big);
+  EXPECT_EQ(send(0, big), flat_big);
+  const Seen flat_small = send(1000, 0);
+  EXPECT_EQ(flat_small.rendezvous, 0u);
+  EXPECT_EQ(send(24, 976), flat_small);
+}
+
 TEST(SanDriver, StrayAckDoesNotReleaseARendezvous) {
   // An ACK whose sequence number is not the announced message's must
   // be dropped: only the real ACK releases the large message.
   auto big_arrival_us = [](bool forge) {
     Stack s;
     pc::SimTime arrival = 0;
-    s.d1->set_receiver([&](pc::NodeId, pc::Bytes, std::size_t) {
+    s.d1->set_receiver([&](pc::NodeId, pc::Bytes, std::size_t,
+                           pc::SharedBytes) {
       arrival = s.engine.now();
     });
     s.d0->send(1, san_frame(dr::gm_costs().eager_threshold + 1));
@@ -233,7 +278,8 @@ TEST(SanDriver, RendezvousToOneNodeDoesNotDelayAnother) {
   auto eager_arrival = [](std::size_t first_payload) {
     SanNodes s(3);
     pc::SimTime arrival = 0;
-    s[2].set_receiver([&](pc::NodeId, pc::Bytes, std::size_t) {
+    s[2].set_receiver([&](pc::NodeId, pc::Bytes, std::size_t,
+                          pc::SharedBytes) {
       arrival = s.engine.now();
     });
     s[0].send(1, san_frame(first_payload));
@@ -253,7 +299,8 @@ TEST(SanDriver, MixedSendsToOneNodeArriveInPostOrder) {
   SanNodes s(3);
   const std::size_t big = dr::gm_costs().eager_threshold + 1;
   std::vector<std::uint8_t> order;
-  s[1].set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off) {
+  s[1].set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off,
+                        pc::SharedBytes) {
     EXPECT_EQ(src, 0u);
     order.push_back(frame[off]);
   });
@@ -326,6 +373,68 @@ TEST(Madeleine, ChannelsDemultiplexAndSegmentsRoundTrip) {
   EXPECT_EQ(s.m1->malformed(), 0u);
 }
 
+TEST(Madeleine, SharedTailArrivesByReference) {
+  // The receiver's tail is the sender's block: same bytes in memory,
+  // shared while the handler runs, never copied into the buffer.
+  Stack s;
+  md::Channel* tx = s.m0->open_channel();
+  md::Channel* rx = s.m1->open_channel();
+  const pc::SharedBytes block(pc::Bytes(5000, 0x5A));
+  std::string head;
+  bool same_block = false;
+  std::size_t shared_by = 0;
+  s.m1->set_recv_handler(*rx, [&](pc::NodeId, md::UnpackHandle& u) {
+    head = to_text(u.unpack(u.remaining()));
+    same_block = u.tail().data() == block.data();
+    shared_by = u.tail().use_count();
+  });
+  md::PackHandle h = s.m0->begin_packing(*tx, 1);
+  h.pack(pc::view_of("head"));
+  h.pack(block);
+  EXPECT_EQ(h.byte_size(), 4u + block.size());
+  EXPECT_THROW(h.pack(pc::view_of("after")), std::logic_error);
+  s.m0->end_packing(std::move(h));
+  // A handle flushes once: its buffer left with the first flush.
+  EXPECT_THROW(s.m0->end_packing(std::move(h)), std::logic_error);
+  s.engine.run_until_idle();
+  EXPECT_EQ(head, "head");
+  EXPECT_TRUE(same_block);
+  EXPECT_GE(shared_by, 2u);
+  EXPECT_EQ(block.use_count(), 1u);  // nothing keeps it after delivery
+  EXPECT_EQ(s.m1->messages_received(), 1u);
+  EXPECT_EQ(s.m1->malformed(), 0u);
+}
+
+TEST(Madeleine, ForgedLengthWithATailIsMalformed) {
+  // The header's length covers the tail: a message whose head and tail
+  // do not add up to it is counted malformed, never delivered.
+  Stack s;
+  s.m0->open_channel();
+  md::Channel* rx = s.m1->open_channel();
+  int delivered = 0;
+  s.m1->set_recv_handler(*rx, [&](pc::NodeId, md::UnpackHandle&) {
+    ++delivered;
+  });
+  auto forge = [&](std::uint32_t length) {
+    pc::Bytes frame(kHead + md::Madeleine::kHeaderSize + 3, 0);
+    frame[kHead] = md::Madeleine::kMagic;
+    frame[kHead + 1] = rx->id;
+    const std::uint16_t segments = 2;
+    std::memcpy(frame.data() + kHead + 2, &segments, sizeof(segments));
+    std::memcpy(frame.data() + kHead + 4, &length, sizeof(length));
+    s.d0->send(1, std::move(frame), pc::SharedBytes(pc::Bytes(100, 1)));
+  };
+  forge(3);        // the head alone
+  forge(100);      // the tail alone
+  forge(3 + 101);  // one byte too many
+  forge(3 + 100);  // the real total, twice
+  forge(3 + 100);
+  s.engine.run_until_idle();
+  EXPECT_EQ(s.m1->malformed(), 3u);
+  EXPECT_EQ(s.m1->messages_received(), 2u);
+  EXPECT_EQ(delivered, 2);
+}
+
 // ---------------------------------------------------------------------------
 // MadIO
 // ---------------------------------------------------------------------------
@@ -393,6 +502,45 @@ TEST(MadIO, UnknownTagIsDroppedCleanly) {
   EXPECT_EQ(s.io1->dropped(), 1u);
 }
 
+TEST(MadIO, QueuedSpanStartsWhenTheMessageArrives) {
+  // The span's start instant waits in the handle's scratch bytes while
+  // the arbitration holds the message; it must read back as the
+  // instant Madeleine delivered it.  A raw Madeleine message of the
+  // same size, alone on a twin stack, gives that instant.
+  const std::string payload(40, 'q');
+  pc::SimTime arrived = 0;
+  {
+    Stack s;
+    md::Channel* c0 = s.m0->open_channel();
+    md::Channel* c1 = s.m1->open_channel();
+    s.m1->set_recv_handler(*c1, [&](pc::NodeId, md::UnpackHandle&) {
+      arrived = s.engine.now();
+    });
+    md::PackHandle h = s.m0->begin_packing(*c0, 1);
+    h.pack(pc::view_of(std::string(vl::wire::kHeaderSize, 'h') + payload));
+    s.m0->end_packing(std::move(h));
+    s.engine.run_until_idle();
+  }
+  Stack s;
+  s.engine.tracer().enable(padico::obs::kAllCats);
+  pc::SimTime handled = 0;
+  s.io1->set_handler(5, [&](pc::NodeId, md::UnpackHandle&) {
+    handled = s.engine.now();
+  });
+  s.io0->send(5, 1, pc::view_of(payload));
+  s.engine.run_until_idle();
+  int spans = 0;
+  for (const padico::obs::TraceEvent& e : s.engine.tracer().events()) {
+    if (std::string(e.name) != "madio.queued") continue;
+    ++spans;
+    EXPECT_GT(arrived, 0u);
+    EXPECT_EQ(e.ts, arrived);
+    EXPECT_GT(e.dur, 0u);  // the arbitration's dispatch slice
+    EXPECT_EQ(e.ts + e.dur, handled);
+  }
+  EXPECT_EQ(spans, 1);
+}
+
 TEST(MadIO, ControlHeaderOfTheOtherModeIsDropped) {
   // A forged `header` frame must not claim the sender's next combined
   // message for its tag, nor a forged `data` frame reach a tag of a
@@ -408,9 +556,10 @@ TEST(MadIO, ControlHeaderOfTheOtherModeIsDropped) {
     s.io1->set_handler(9, [&](pc::NodeId, md::UnpackHandle&) { ++forged; });
     md::Channel bootstrap{0};  // MadIO's channel
     md::PackHandle h = s.m0->begin_packing(bootstrap, 1);
-    h.pack(vl::wire::encode(net::tagged_header(
+    h.pack(pc::view_of(vl::wire::encode(net::tagged_header(
         9, 0, 1,
-        combining ? vl::wire::FrameType::header : vl::wire::FrameType::data)));
+        combining ? vl::wire::FrameType::header
+                  : vl::wire::FrameType::data))));
     s.m0->end_packing(std::move(h));
     s.io0->send(5, 1, pc::view_of("real"));
     s.engine.run_until_idle();
@@ -418,6 +567,35 @@ TEST(MadIO, ControlHeaderOfTheOtherModeIsDropped) {
     EXPECT_EQ(forged, 0) << "combining " << combining;
     EXPECT_EQ(s.io1->dropped(), 1u) << "combining " << combining;
     EXPECT_EQ(s.io1->seq_gaps(), 0u) << "combining " << combining;
+  }
+}
+
+TEST(MadIO, SharedTailPairsWithItsHeaderInBothModes) {
+  // With combining off the header travels alone and the message behind
+  // it carries the tail: the pair must still meet at the tag's handler.
+  for (const bool combining : {true, false}) {
+    Stack s(combining);
+    const pc::SharedBytes block(pc::Bytes(300, 0x33));
+    std::vector<std::string> heads;
+    std::vector<bool> same_block;
+    s.io1->set_handler(4, [&](pc::NodeId, md::UnpackHandle& u) {
+      heads.push_back(to_text(u.remaining_view()));
+      same_block.push_back(u.tail().data() == block.data());
+    });
+    for (int i = 0; i < 3; ++i) {
+      md::PackHandle h = s.io0->begin(4, 1);
+      h.pack(pc::view_of("h" + std::to_string(i)));
+      h.pack(block);
+      s.io0->end(std::move(h), 4, 1);
+    }
+    s.engine.run_until_idle();
+    EXPECT_EQ(heads, (std::vector<std::string>{"h0", "h1", "h2"}))
+        << "combining " << combining;
+    EXPECT_EQ(same_block, std::vector<bool>(3, true));
+    EXPECT_EQ(s.fabric.network(s.san).messages_sent(), combining ? 3u : 6u);
+    EXPECT_EQ(s.io1->dropped(), 0u);
+    EXPECT_EQ(s.io1->seq_gaps(), 0u);
+    EXPECT_EQ(block.use_count(), 1u);
   }
 }
 
@@ -567,26 +745,64 @@ TEST(Arbitration, FifoHoldsAcrossWrapAndGrowth) {
   EXPECT_EQ(arb.queued(net::Substrate::mad), 0u);
 }
 
+namespace {
+
+/// Counts destructions of live (not moved-from) copies.
+struct DestroyCounter {
+  int* destroyed;
+  bool live = true;
+  explicit DestroyCounter(int* d) : destroyed(d) {}
+  DestroyCounter(DestroyCounter&& o) noexcept : destroyed(o.destroyed) {
+    o.live = false;
+  }
+  DestroyCounter(const DestroyCounter&) = delete;
+  ~DestroyCounter() {
+    if (live) ++*destroyed;
+  }
+};
+
+/// Counts its own moves; a closure the arbitration relocated shows them.
+struct MoveCounter {
+  int* moves;
+  int* moves_at_run;
+  MoveCounter(int* m, int* r) : moves(m), moves_at_run(r) {}
+  MoveCounter(MoveCounter&& o) noexcept
+      : moves(o.moves), moves_at_run(o.moves_at_run) {
+    ++*moves;
+  }
+  MoveCounter(const MoveCounter&) = delete;
+  void operator()() const { *moves_at_run = *moves; }
+};
+
+}  // namespace
+
 // Closures still queued when their Arbitration dies are destroyed with
-// it: the buffers they own are freed (the ASan job checks for leaks),
-// and none of them runs.  The sys ring is wrapped, the mad ring grown,
-// and some closures are too large to be stored inline.
+// it, before the engine: the buffers they own are freed (the ASan job
+// checks for leaks), none of them runs, and each dies exactly once.
+// The sys ring is wrapped, the mad ring grown, and some closures are
+// too large to be stored inline.
 TEST(Arbitration, DestroyedWithQueuedClosuresFreesWhatTheyOwn) {
   pc::Engine engine;
   int ran = 0;
+  int destroyed = 0;
   {
     net::Arbitration arb(engine);
-    auto small = [&ran](std::uint8_t v) {
-      return [&ran, b = pc::Bytes(64, v)] { ran += b[0]; };
+    auto small = [&ran, &destroyed](std::uint8_t v) {
+      return [&ran, b = pc::Bytes(64, v), d = DestroyCounter(&destroyed)] {
+        ran += b[0];
+      };
     };
-    auto large = [&ran](std::uint8_t v) {
+    auto large = [&ran, &destroyed](std::uint8_t v) {
       return [&ran, b = pc::Bytes(64, v), c = pc::Bytes(32, v),
-              e = pc::Bytes(16, v)] { ran += b[0] + c[0] + e[0]; };
+              e = pc::Bytes(16, v), d = DestroyCounter(&destroyed)] {
+        ran += b[0] + c[0] + e[0];
+      };
     };
     for (std::uint8_t v = 1; v <= 4; ++v) {
       arb.enqueue(net::Substrate::sys, small(v));
     }
     while (arb.dispatched(net::Substrate::sys) < 3) ASSERT_TRUE(engine.step());
+    EXPECT_EQ(destroyed, 3);  // each ran closure died after its run
     const int ran_before = ran;
     arb.enqueue(net::Substrate::sys, small(5));
     arb.enqueue(net::Substrate::sys, large(6));
@@ -597,10 +813,36 @@ TEST(Arbitration, DestroyedWithQueuedClosuresFreesWhatTheyOwn) {
     EXPECT_EQ(arb.queued(net::Substrate::sys), 3u);
     EXPECT_EQ(arb.queued(net::Substrate::mad), 6u);
     EXPECT_EQ(ran, ran_before);
+    EXPECT_EQ(destroyed, 3);
   }
+  // The 9 queued closures died with the arbitration, unrun.
+  EXPECT_EQ(destroyed, 12);
+  EXPECT_EQ(ran, 1 + 2 + 3);
   // The engine still holds the dead arbitration's next poll; it is
   // destroyed with the engine, never run.
-  EXPECT_EQ(ran, 1 + 2 + 3);
+  EXPECT_TRUE(engine.pending());
+}
+
+TEST(Arbitration, QueuedClosureIsBuiltOnceAndMovedAtMostOnce) {
+  // A posted callable is built in its parked engine node and runs
+  // there: a temporary is moved once, into the node, and never again
+  // through the ring, its growth or the dispatch.
+  pc::Engine engine;
+  pc::Host host(engine, 0);
+  net::NetAccess access(host);
+  std::vector<int> moves(6, 0), at_run(6, -1);
+  for (int i = 0; i < 3; ++i) {
+    access.post_mad(MoveCounter(&moves[i], &at_run[i]));
+    access.post_sys(MoveCounter(&moves[3 + i], &at_run[3 + i]));
+  }
+  // An EventFn is moved in once too (after the one move that built it).
+  int fn_moves = 0, fn_at_run = -1;
+  pc::EventFn fn = MoveCounter(&fn_moves, &fn_at_run);
+  access.post_mad(std::move(fn));
+  EXPECT_EQ(engine.pending_count(), 1u);  // the pump; parked ones are not
+  engine.run_until_idle();
+  EXPECT_EQ(at_run, std::vector<int>(6, 1));
+  EXPECT_EQ(fn_at_run, 2);
 }
 
 TEST(Arbitration, SwitchingSubstratesCostsMoreThanStaying) {
@@ -762,9 +1004,10 @@ TEST(GridMadIO, SysAndMadTrafficShareOneArbitration) {
 }
 
 TEST(GridMadIO, SharedWriteArrivesByteExactWhenACopiedWriteWould) {
-  // Over madio a shared block is gathered into the SAN message like a
-  // copied write's bytes: the same bytes arrive at the same instant,
-  // eager and rendezvous sizes alike, and nothing keeps the block.
+  // Over madio a shared block rides behind the SAN message by
+  // reference, a copied write's bytes inside it: the same bytes arrive
+  // at the same instant, eager and rendezvous sizes alike, and nothing
+  // keeps the block.
   auto run = [](bool share) {
     gr::Grid grid;
     grid.add_nodes(2);
@@ -814,4 +1057,39 @@ TEST(GridMadIO, SharedWriteArrivesByteExactWhenACopiedWriteWould) {
   const pc::SimTime copied = run(false);
   EXPECT_GT(copied, 0u);
   EXPECT_EQ(run(true), copied);
+}
+
+TEST(GridMadIO, SharedWriteIsReadInTheWritersBlock) {
+  // The reading link's view points into the writer's own block: no
+  // layer of the SAN chain copied it, and the handler shares it.
+  gr::Grid grid;
+  grid.add_nodes(2);
+  sn::NetId san = grid.add_network(sn::profiles::myrinet2000());
+  grid.attach(san, 0);
+  grid.attach(san, 1);
+  grid.build();
+  std::unique_ptr<vl::Link> a, b;
+  grid.node(1).vlink().driver("madio")->listen(
+      7400, [&](std::unique_ptr<vl::Link> l) { b = std::move(l); });
+  grid.node(0).vlink().connect(
+      "madio", {1, 7400},
+      [&](pc::Result<std::unique_ptr<vl::Link>> r) { a = std::move(*r); });
+  grid.engine().run_while_pending([&] { return a && b; });
+  ASSERT_TRUE(a && b);
+  const pc::SharedBytes block(pc::Bytes(4096, 0x61));
+  bool same_block = false;
+  std::size_t shared_by = 0;
+  std::size_t got = 0;
+  b->set_ready_handler([&] {
+    const pc::ByteView v = b->read_available();
+    same_block = v.data() == block.data();
+    shared_by = block.use_count();
+    got += v.size();
+  });
+  a->post_write(block);
+  grid.engine().run_until_idle();
+  EXPECT_EQ(got, block.size());
+  EXPECT_TRUE(same_block);
+  EXPECT_GE(shared_by, 2u);
+  EXPECT_EQ(block.use_count(), 1u);
 }

@@ -2,6 +2,7 @@
 """Paired A/B runs of two benchmark commands, alternating which goes first.
 
     ab.py --a CMD --b CMD --pairs N [--metric NAME] [--seed S] [--out FILE]
+          [--markdown]
     ab.py --self-test
 
 Each command is run N times per side, as N pairs; pair i runs A first
@@ -22,11 +23,18 @@ Report (JSON on stdout, a short table on stderr):
     those are virtual-time results, identical in every run of a change
     that only makes the host faster.
 
+--markdown prints, instead of the JSON, a Markdown table to paste into
+CHANGES.md: one row per end-to-end metric of BENCHMARK.json that both
+sides printed (each side's median and interquartile range, and the
+ratio of the medians B/A), then the paired verdict on --metric and the
+behaviour flag.
+
 Exit status: 0 on success, 1 if a run failed or printed no --metric,
 2 if the behaviour-change flag is raised.
 
---self-test checks the statistics on fixed synthetic pairs and the
-parser on a fixed bench_e2e output, without running anything.
+--self-test checks the statistics on fixed synthetic pairs, the parser
+on a fixed bench_e2e output and the Markdown table, without running
+anything.
 """
 
 import argparse
@@ -84,15 +92,59 @@ def bootstrap_median(values, seed, resamples=RESAMPLES):
     return statistics.median(medians), lo, hi
 
 
-def higher_is_better(metric):
+def benchmark_spec():
     try:
-        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-        for m in spec.get("end_to_end", []) + spec.get("per_layer", []):
-            if m["name"] == metric:
-                return m.get("better", "higher") == "higher"
-    except (OSError, ValueError, KeyError):
-        pass
+        return json.loads((ROOT / "BENCHMARK.json").read_text())
+    except (OSError, ValueError):
+        return {}
+
+
+def higher_is_better(metric):
+    spec = benchmark_spec()
+    for m in spec.get("end_to_end", []) + spec.get("per_layer", []):
+        if m.get("name") == metric:
+            return m.get("better", "higher") == "higher"
     return True
+
+
+def end_to_end_names():
+    return [m["name"] for m in benchmark_spec().get("end_to_end", [])
+            if "name" in m]
+
+
+def number(v):
+    """A table cell: whole numbers from 1,000 up, 4 significant digits
+    below."""
+    return f"{v:,.0f}" if abs(v) >= 1000 else f"{v:.4g}"
+
+
+def markdown(report, names):
+    """The report as a Markdown table: one row per metric of `names`
+    that both sides printed, then the paired verdict on the metric."""
+    sides = report["sides"]
+    lines = ["| metric | A median | A IQR | B median | B IQR | B/A |",
+             "|---|---:|---:|---:|---:|---:|"]
+    for name in names:
+        a = sides["a"].get(name)
+        b = sides["b"].get(name)
+        if a is None or b is None:
+            continue
+        ratio = f"{b['median'] / a['median']:.3f}" if a["median"] else "-"
+        lines.append(f"| {name} | {number(a['median'])} | "
+                     f"{number(a['q3'] - a['q1'])} | "
+                     f"{number(b['median'])} | "
+                     f"{number(b['q3'] - b['q1'])} | {ratio} |")
+    p = report["paired"]
+    differs = ", ".join(report["behaviour_differs"]) or "none"
+    lines.append("")
+    lines.append(
+        f"{report['metric']}: paired B/A median "
+        f"{p['median_ratio_b_over_a']:.3f}, 95% bootstrap interval "
+        f"[{p['ci95'][0]:.3f}, {p['ci95'][1]:.3f}], B better in "
+        f"{p['b_wins']} of {report['pairs']} pairs, gap beyond A's IQR: "
+        f"{'yes' if p['median_gap_exceeds_a_iqr'] else 'no'}; behaviour "
+        f"change: {differs}.")
+    return "\n".join(lines)
 
 
 def analyse(runs_a, runs_b, metric, seed, higher=True):
@@ -184,6 +236,20 @@ def self_test():
     r = analyse(slow, moved, "sessions_per_wall_s", seed=1)
     check(r["behaviour_differs"] == ["digest"], "a moved digest is flagged")
 
+    table = markdown(r, ["sessions_per_wall_s", "peak_rss_mb"]).splitlines()
+    check(table[0].startswith("| metric | A median | A IQR | B median"),
+          "table header")
+    check(len(table) == 5, "one row per metric both sides printed")
+    check(table[2] == "| sessions_per_wall_s | 100 | 4.75 | 124.9 | 1.82 "
+          "| 1.249 |", "table row: medians, IQRs and B/A")
+    check(number(123012.4) == "123,012" and number(0.0014138) == "0.001414",
+          "table numbers")
+    check(table[4].startswith("sessions_per_wall_s: paired B/A median "
+                              "1.245, 95% bootstrap interval [")
+          and "B better in 9 of 10 pairs" in table[4]
+          and table[4].endswith("behaviour change: digest."),
+          "paired verdict and behaviour flag")
+
     out = parse("workload churn_soap -\ndigest 4e1cf6fa06db5245 -\n"
                 "sessions_per_wall_s 167692.5 1/s\ncorrect 1 -\n"
                 "# a comment line\nsmoke ok\n")
@@ -204,6 +270,8 @@ def main():
     ap.add_argument("--seed", type=int, default=2026,
                     help="bootstrap seed")
     ap.add_argument("--out", help="also write the JSON report here")
+    ap.add_argument("--markdown", action="store_true",
+                    help="print a Markdown table instead of the JSON")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -227,7 +295,7 @@ def main():
     report["commands"] = {"a": args.a, "b": args.b}
     report["runs"] = runs
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(markdown(report, end_to_end_names()) if args.markdown else text)
     if args.out:
         Path(args.out).write_text(text + "\n")
 
