@@ -36,19 +36,6 @@ void BM_EngineDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineDispatch);
 
-void BM_IoVecGatherFlatten(benchmark::State& state) {
-  const std::size_t frag = static_cast<std::size_t>(state.range(0));
-  pc::Bytes chunk(frag, 7);
-  for (auto _ : state) {
-    pc::IoVec v;
-    for (int i = 0; i < 16; ++i) v.append_ref(pc::view_of(chunk));
-    benchmark::DoNotOptimize(v.flatten());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16 *
-                          static_cast<std::int64_t>(frag));
-}
-BENCHMARK(BM_IoVecGatherFlatten)->Arg(512)->Arg(8192);
-
 void BM_LzEncode(benchmark::State& state) {
   pc::Bytes data = text_data(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -62,41 +49,27 @@ BENCHMARK(BM_LzEncode)->Arg(4096)->Arg(65536);
 void BM_LzRoundTrip(benchmark::State& state) {
   pc::Bytes data = text_data(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    pc::Bytes frame = cz::compress(pc::view_of(data), cz::Level::lz);
-    benchmark::DoNotOptimize(cz::decompress(pc::view_of(frame)));
+    pc::Bytes enc = cz::encode(cz::Level::lz, pc::view_of(data));
+    benchmark::DoNotOptimize(cz::decode(cz::Level::lz, pc::view_of(enc)));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_LzRoundTrip)->Arg(65536);
 
-void BM_CdrMarshalCopying(benchmark::State& state) {
+void BM_CdrMarshal(benchmark::State& state) {
   pc::Bytes bulk(static_cast<std::size_t>(state.range(0)), 3);
   for (auto _ : state) {
-    orb::CdrOut out(/*copying=*/true);
+    orb::CdrOut out;
     out.put_string("object-key");
     out.put_string("method");
     out.put_octets(pc::view_of(bulk));
-    benchmark::DoNotOptimize(out.flatten());
+    benchmark::DoNotOptimize(out.take());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_CdrMarshalCopying)->Arg(65536);
-
-void BM_CdrMarshalZeroCopy(benchmark::State& state) {
-  pc::Bytes bulk(static_cast<std::size_t>(state.range(0)), 3);
-  for (auto _ : state) {
-    orb::CdrOut out(/*copying=*/false);
-    out.put_string("object-key");
-    out.put_string("method");
-    out.put_octets(pc::view_of(bulk));
-    benchmark::DoNotOptimize(out.iov().byte_size());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_CdrMarshalZeroCopy)->Arg(65536);
+BENCHMARK(BM_CdrMarshal)->Arg(65536);
 
 void BM_RleRoundTrip(benchmark::State& state) {
   pc::Bytes data = text_data(static_cast<std::size_t>(state.range(0)));

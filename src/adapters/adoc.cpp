@@ -20,13 +20,16 @@ namespace adoc {
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 #endif
 
-core::Bytes encode_header(const Header& h) {
-  core::Bytes out(kHeaderSize, 0);
+core::Bytes encode_header(const Header& h, core::ByteView payload) {
+  core::Bytes out;
+  out.reserve(kHeaderSize + payload.size());
+  out.resize(kHeaderSize, 0);
   std::memcpy(out.data(), &kMagic, sizeof(kMagic));
   out[4] = static_cast<std::uint8_t>(h.kind);
   out[5] = static_cast<std::uint8_t>(h.level);
   std::memcpy(out.data() + 8, &h.raw_len, sizeof(h.raw_len));
   std::memcpy(out.data() + 12, &h.enc_len, sizeof(h.enc_len));
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
@@ -56,24 +59,6 @@ std::optional<Header> decode_header(core::ByteView frame) {
 }  // namespace adoc
 
 namespace {
-
-core::Bytes raw_encode(cz::Level level, core::ByteView payload) {
-  switch (level) {
-    case cz::Level::stored: return payload.to_bytes();
-    case cz::Level::rle: return cz::rle_encode(payload);
-    case cz::Level::lz: return cz::lz_encode(payload);
-  }
-  return payload.to_bytes();
-}
-
-std::optional<core::Bytes> raw_decode(cz::Level level, core::ByteView enc) {
-  switch (level) {
-    case cz::Level::stored: return enc.to_bytes();
-    case cz::Level::rle: return cz::rle_decode(enc);
-    case cz::Level::lz: return cz::lz_decode(enc);
-  }
-  return std::nullopt;
-}
 
 /// Prefix bytes a never-observed level trial-encodes to seed its ratio.
 constexpr std::size_t kSampleBytes = 4096;
@@ -124,7 +109,7 @@ double AdocLink::level_ratio(cz::Level level, core::ByteView payload) const {
   // layer peeking at its data).
   const std::size_t n = std::min(kSampleBytes, payload.size());
   if (n == 0) return 1.0;
-  const core::Bytes enc = raw_encode(level, payload.subview(0, n));
+  const core::Bytes enc = cz::encode(level, payload.subview(0, n));
   return static_cast<double>(enc.size()) / static_cast<double>(n);
 }
 
@@ -167,7 +152,7 @@ void AdocLink::send_bytes(core::ByteView data) {
   last_level_ = level;
   have_last_ = true;
 
-  core::Bytes enc = raw_encode(level, data);
+  core::Bytes enc = cz::encode(level, data);
   const auto idx = static_cast<std::size_t>(level);
   const double r =
       data.empty() ? 1.0
@@ -187,8 +172,7 @@ void AdocLink::send_bytes(core::ByteView data) {
   h.level = level;
   h.raw_len = static_cast<std::uint32_t>(data.size());
   h.enc_len = static_cast<std::uint32_t>(enc.size());
-  core::Bytes frame = adoc::encode_header(h);
-  frame.insert(frame.end(), enc.begin(), enc.end());
+  core::Bytes frame = adoc::encode_header(h, core::view_of(enc));
 
   // Charge the encode on the serialized tx CPU; the frame reaches the
   // base link when the work completes (monotone, so frames stay FIFO).
@@ -217,7 +201,7 @@ void AdocLink::on_frame(core::ByteView frame) {
     ++malformed_;
     return;
   }
-  std::optional<core::Bytes> raw = raw_decode(h->level, enc);
+  std::optional<core::Bytes> raw = cz::decode(h->level, enc);
   if (!raw || raw->size() != h->raw_len) {
     ++malformed_;
     return;

@@ -66,7 +66,9 @@ struct Header {
   friend bool operator==(const Header&, const Header&) = default;
 };
 
-core::Bytes encode_header(const Header& h);
+/// The header followed by `payload` (the encoded bytes), in one buffer
+/// sized for both.
+core::Bytes encode_header(const Header& h, core::ByteView payload = {});
 
 /// Parse the header at the front of `frame`.  Returns nullopt for
 /// truncated input, a bad magic, an unknown kind or an unknown level;

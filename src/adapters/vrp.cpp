@@ -18,14 +18,17 @@ namespace vrp {
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 #endif
 
-core::Bytes encode_header(const Header& h) {
-  core::Bytes out(kHeaderSize, 0);
+core::Bytes encode_header(const Header& h, core::ByteView payload) {
+  core::Bytes out;
+  out.reserve(kHeaderSize + payload.size());
+  out.resize(kHeaderSize, 0);
   std::memcpy(out.data(), &kMagic, sizeof(kMagic));
   out[4] = static_cast<std::uint8_t>(h.kind);
   out[5] = h.flags;
   std::memcpy(out.data() + 8, &h.len, sizeof(h.len));
   std::memcpy(out.data() + 12, &h.aux, sizeof(h.aux));
   std::memcpy(out.data() + 16, &h.seq, sizeof(h.seq));
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
@@ -150,10 +153,7 @@ void VrpLink::send_bytes(core::ByteView data) {
 }
 
 void VrpLink::emit(const vrp::Header& h, core::ByteView payload) {
-  core::IoVec iov;
-  iov.append(vrp::encode_header(h));
-  if (!payload.empty()) iov.append_ref(payload);
-  base_->post_write(iov);
+  base_->post_write(core::view_of(vrp::encode_header(h, payload)));
 }
 
 void VrpLink::pump() {

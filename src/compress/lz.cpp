@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 namespace padico::compress {
 
@@ -12,30 +11,7 @@ constexpr std::size_t kLzWindow = 4096;
 constexpr std::size_t kLzMinMatch = 3;
 constexpr std::size_t kLzMaxMatch = 18;
 
-void put_u32(core::Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
-
-const char* level_name(Level level) {
-  switch (level) {
-    case Level::stored: return "stored";
-    case Level::rle: return "rle";
-    case Level::lz: return "lz";
-  }
-  return "?";
-}
 
 core::Bytes rle_encode(core::ByteView raw) {
   core::Bytes out;
@@ -180,43 +156,22 @@ std::optional<core::Bytes> lz_decode(core::ByteView enc) {
   return out;
 }
 
-core::Bytes compress(core::ByteView raw, Level level) {
-  core::Bytes out;
-  out.push_back(static_cast<std::uint8_t>(level));
-  put_u32(out, static_cast<std::uint32_t>(raw.size()));
+core::Bytes encode(Level level, core::ByteView raw) {
   switch (level) {
-    case Level::stored:
-      out.insert(out.end(), raw.begin(), raw.end());
-      break;
-    case Level::rle: {
-      core::Bytes enc = rle_encode(raw);
-      out.insert(out.end(), enc.begin(), enc.end());
-      break;
-    }
-    case Level::lz: {
-      core::Bytes enc = lz_encode(raw);
-      out.insert(out.end(), enc.begin(), enc.end());
-      break;
-    }
+    case Level::stored: return raw.to_bytes();
+    case Level::rle: return rle_encode(raw);
+    case Level::lz: return lz_encode(raw);
   }
-  return out;
+  return raw.to_bytes();
 }
 
-std::optional<core::Bytes> decompress(core::ByteView frame) {
-  if (frame.size() < kFrameHeaderBytes) return std::nullopt;
-  const std::uint8_t lvl = frame[0];
-  if (lvl >= kLevelCount) return std::nullopt;
-  const std::size_t raw_len = get_u32(frame.data() + 1);
-  const core::ByteView enc =
-      frame.subview(kFrameHeaderBytes, frame.size() - kFrameHeaderBytes);
-  std::optional<core::Bytes> raw;
-  switch (static_cast<Level>(lvl)) {
-    case Level::stored: raw = enc.to_bytes(); break;
-    case Level::rle: raw = rle_decode(enc); break;
-    case Level::lz: raw = lz_decode(enc); break;
+std::optional<core::Bytes> decode(Level level, core::ByteView enc) {
+  switch (level) {
+    case Level::stored: return enc.to_bytes();
+    case Level::rle: return rle_decode(enc);
+    case Level::lz: return lz_decode(enc);
   }
-  if (!raw || raw->size() != raw_len) return std::nullopt;
-  return raw;
+  return std::nullopt;
 }
 
 namespace {

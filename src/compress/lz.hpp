@@ -23,8 +23,6 @@ enum class Level : std::uint8_t { stored = 0, rle = 1, lz = 2 };
 
 inline constexpr std::uint8_t kLevelCount = 3;
 
-const char* level_name(Level level);
-
 /// PackBits-style RLE: a control byte `c` introduces either a literal
 /// run (`c < 128`: c+1 literal bytes follow) or a repeat run
 /// (`c >= 128`: one byte repeated c-126 times, runs of 3..129).
@@ -37,13 +35,13 @@ std::optional<core::Bytes> rle_decode(core::ByteView enc);
 core::Bytes lz_encode(core::ByteView raw);
 std::optional<core::Bytes> lz_decode(core::ByteView enc);
 
-/// Self-describing frame: [u8 level][u32 raw_len][encoded payload].
-/// decompress() rejects unknown levels, truncated frames and any
-/// payload that does not decode to exactly raw_len bytes.
-core::Bytes compress(core::ByteView raw, Level level);
-std::optional<core::Bytes> decompress(core::ByteView frame);
-
-inline constexpr std::size_t kFrameHeaderBytes = 5;
+/// The level dispatch: encode `raw` at `level` (`stored` copies it),
+/// and decode bytes `encode` made at `level`.  The framing (level, raw
+/// and encoded lengths) is the caller's: AdOC's frame header carries
+/// it.  decode() returns nullopt for an unknown level or malformed
+/// input.
+core::Bytes encode(Level level, core::ByteView raw);
+std::optional<core::Bytes> decode(Level level, core::ByteView enc);
 
 /// Virtual CPU charged per encode/decode, calibrated to paper-era
 /// hardware (stored ~2 GB/s memcpy, rle ~400/800 MB/s, lz ~18/80 MB/s

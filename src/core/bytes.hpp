@@ -1,14 +1,15 @@
 // Byte containers for the communication stack.
 //
 // `Bytes` owns storage, `ByteView` is a borrowed span, `SharedBytes` is
-// an immutable buffer many holders share by reference, and `IoVec` is a
-// zero-copy gather list mixing borrowed and owned segments — the shape
-// the marshallers and the stream adapters want.
+// an immutable buffer many holders share by reference, and `BytesPool`
+// recycles frame-sized `Bytes`.
 //
 // A writer picks how its bytes travel by the type it hands the stack:
 // a `ByteView` borrows storage the caller may reuse, so the stack
 // copies it into a frame; a `SharedBytes` never changes, so the stack
-// carries it by reference from the writer to the reading link.
+// carries it by reference from the writer to the reading link.  A
+// message made of parts (a header and its payload) is built in one
+// buffer first and handed over as one `ByteView`.
 #pragma once
 
 #include <cstddef>
@@ -122,73 +123,6 @@ class SharedBytes {
 
 static_assert(sizeof(SharedBytes) == sizeof(void*),
               "SharedBytes must stay one pointer wide (see above)");
-
-/// Gather list of byte segments.  `append_ref` borrows the caller's
-/// storage (zero-copy; the caller keeps it alive until the IoVec is
-/// consumed), `append` adopts an owned buffer (headers, trailers).
-class IoVec {
- public:
-  IoVec() = default;
-
-  /// Borrow `v` without copying.
-  void append_ref(ByteView v) {
-    segments_.push_back(Segment{v, Bytes{}, false});
-    byte_size_ += v.size();
-  }
-
-  /// Adopt `b`; the IoVec keeps it alive.
-  void append(Bytes b) {
-    Segment s{ByteView{}, std::move(b), true};
-    s.view = ByteView(s.owned.data(), s.owned.size());
-    byte_size_ += s.owned.size();
-    segments_.push_back(std::move(s));
-  }
-
-  /// Adopt `b` as the new FIRST segment — for layers that finalise a
-  /// header at flush time, after the payload has been gathered.  O(1):
-  /// the header lands in a dedicated front slot instead of shifting
-  /// the whole segment vector (flush-time prepend is once per message,
-  /// but the vector behind it can be a whole gather list).
-  void prepend(Bytes b) {
-    Segment s{ByteView{}, std::move(b), true};
-    s.view = ByteView(s.owned.data(), s.owned.size());
-    byte_size_ += s.owned.size();
-    if (has_front_) {
-      // A second prepend is rare (one finalised header per layer); the
-      // old front demotes into the vector, new front takes the slot.
-      segments_.insert(segments_.begin(), std::move(front_));
-    }
-    front_ = std::move(s);
-    has_front_ = true;
-  }
-
-  std::size_t segments() const noexcept {
-    return segments_.size() + (has_front_ ? 1 : 0);
-  }
-  std::size_t byte_size() const noexcept { return byte_size_; }
-  bool empty() const noexcept { return byte_size_ == 0; }
-
-  /// View of segment `i` (valid while the IoVec and any borrowed
-  /// backing stores live).
-  ByteView view(std::size_t i) const {
-    if (has_front_) return i == 0 ? front_.view : segments_[i - 1].view;
-    return segments_[i].view;
-  }
-
-  /// Copy every segment, in order, into one contiguous buffer.
-  Bytes flatten() const;
-
- private:
-  struct Segment {
-    ByteView view;
-    Bytes owned;
-    bool is_owned = false;
-  };
-  Segment front_;
-  bool has_front_ = false;
-  std::vector<Segment> segments_;
-  std::size_t byte_size_ = 0;
-};
 
 /// Recycler of frame-sized `Bytes` buffers.
 ///

@@ -2,7 +2,7 @@
 //
 // A Host ties a logical node id to the shared virtual-time Engine.  It
 // is the first constructor argument of every per-node layer (drivers,
-// Madeleine, NetAccess, middleware), mirroring PadicoTM's per-process
+// Madeleine, middleware), mirroring PadicoTM's per-process
 // core module.
 #pragma once
 

@@ -8,10 +8,6 @@
 
 namespace padico::drv {
 
-namespace {
-constexpr GmCosts kCosts = gm_costs();
-}  // namespace
-
 SanDriver::SanDriver(core::Host& host, simnet::Fabric& fabric,
                      simnet::NetId net)
     : host_(&host), net_(&fabric.network(net)) {
@@ -53,8 +49,7 @@ void SanDriver::send(core::NodeId dst, core::Bytes frame,
 }
 
 bool SanDriver::start(core::NodeId dst, Pending& msg) {
-  if (msg.frame.size() - kFrameHeader + msg.tail.size() >
-      kCosts.eager_threshold) {
+  if (msg.frame.size() - kFrameHeader + msg.tail.size() > kEagerThreshold) {
     // Rendezvous: ask first; the message, and every later one to
     // `dst`, waits for the ACK so nothing overtakes the large one.
     ++rendezvous_sent_;
@@ -91,9 +86,9 @@ void SanDriver::emit(core::NodeId dst, FrameType type, std::uint32_t seq,
   // back-to-back small sends pay per-message cost additively.
   core::Engine& eng = host_->engine();
   const core::Duration cost =
-      kCosts.per_message +
-      static_cast<core::Duration>(std::llround(
-          kCosts.per_byte_ns * static_cast<double>(frame.size() + tail.size())));
+      kPerMessage + static_cast<core::Duration>(std::llround(
+                        kPerByteNs *
+                        static_cast<double>(frame.size() + tail.size())));
   cpu_busy_until_ = std::max(cpu_busy_until_, eng.now()) + cost;
   auto inject = [this, dst, frame = std::move(frame),
                  tail = std::move(tail)]() mutable {

@@ -1,11 +1,11 @@
 // SanDriver: a GM-like user-level SAN access driver (the layer plain
 // Madeleine sits on for Myrinet in the paper's stack).
 //
-// Cost model (`GmCosts`; every driver charges the stock profile
-// `gm_costs()`): every injected message occupies the host CPU for a
-// fixed per-message cost plus a per-byte copy cost before it reaches
-// the NIC — the dominant term of small-message latency on a real SAN.
-// Messages above the eager threshold switch to a rendezvous: a REQ
+// Cost model (one GM-like profile, three `SanDriver` constants): every
+// injected message occupies the host CPU for a fixed per-message cost
+// (`kPerMessage`) plus a per-byte copy cost (`kPerByteNs`) before it
+// reaches the NIC — the dominant term of small-message latency on a
+// real SAN.  Messages above `kEagerThreshold` switch to a rendezvous: a REQ
 // control frame travels to the receiver, the receiver answers ACK, and
 // only then does the payload transmit (GM's receiver-paced
 // large-message protocol).  Costs are charged on the sending host
@@ -44,21 +44,6 @@
 
 namespace padico::drv {
 
-/// Host-side cost profile of the SAN access method.
-struct GmCosts {
-  /// Fixed CPU cost to inject one message (descriptor setup, doorbell).
-  core::Duration per_message = core::nanoseconds(700);
-
-  /// CPU cost per payload byte (pinned-buffer copy), in ns/byte.
-  double per_byte_ns = 0.4;
-
-  /// Largest payload sent eagerly; bigger messages rendezvous first.
-  std::size_t eager_threshold = 32 * 1024;
-};
-
-/// The stock GM-like profile: every SanDriver charges it.
-constexpr GmCosts gm_costs() { return {}; }
-
 class SanDriver {
  public:
   /// Receives a whole wire frame; the payload starts at `offset` and
@@ -68,6 +53,15 @@ class SanDriver {
                                     core::SharedBytes tail)>;
 
   static constexpr std::size_t kFrameHeader = 8;
+
+  /// Fixed CPU cost to inject one message (descriptor setup, doorbell).
+  static constexpr core::Duration kPerMessage = core::nanoseconds(700);
+
+  /// CPU cost per payload byte (pinned-buffer copy), in ns/byte.
+  static constexpr double kPerByteNs = 0.4;
+
+  /// Largest payload sent eagerly; bigger messages rendezvous first.
+  static constexpr std::size_t kEagerThreshold = 32 * 1024;
 
   /// Registers itself as the receiver for `host.id()` on network `net`.
   SanDriver(core::Host& host, simnet::Fabric& fabric, simnet::NetId net);

@@ -24,14 +24,17 @@ struct Grid::SanStack {
   net::MadIO io;
 
   SanStack(core::Host& host, simnet::Fabric& fabric, simnet::NetId net,
-           net::NetAccess& access, bool header_combining)
+           net::Arbitration& arbitration, bool header_combining)
       : san(host, fabric, net),
         madeleine(host, san),
-        io(access, madeleine, header_combining) {}
+        io(arbitration, madeleine, header_combining) {}
 };
 
 Node::Node(core::Engine& engine, core::NodeId id)
-    : host_(engine, id), vlink_(host_), access_(host_), chooser_(vlink_) {
+    : host_(engine, id),
+      vlink_(host_),
+      arbitration_(engine),
+      chooser_(vlink_) {
   vlink_.set_policy(&chooser_);
 }
 
@@ -187,7 +190,7 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
   if (model.driver == "madio") {
     // SAN: the full arbitration stack under the vlink method.
     auto stack = std::make_unique<SanStack>(node.host(), fabric_, net_id,
-                                            node.access(),
+                                            node.arbitration(),
                                             options_.header_combining);
     node.madios_.push_back(&stack->io);
     auto driver = std::make_unique<net::MadIODriver>(stack->io, method);
@@ -200,7 +203,7 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
     auto driver = std::make_unique<vlink::NetDriver>(node.host(), net, method);
     driver->set_net_class(model.net_class);
     driver->set_caps(base_caps);
-    driver->set_dispatch([arb = &node.access().arbitration()](
+    driver->set_dispatch([arb = &node.arbitration()](
                              std::uint32_t parked) {
       arb->enqueue_parked(net::Substrate::sys, parked);
     });
@@ -348,7 +351,7 @@ CircuitSet Grid::make_circuit(const std::string& name,
   for (std::size_t r = 0; r < group.size(); ++r) {
     Node& member = *nodes_[group.node(static_cast<int>(r))];
     set.add(std::make_unique<circuit::Circuit>(
-        name, group, static_cast<int>(r), tag, port, member.access(),
+        name, group, static_cast<int>(r), tag, port, member.arbitration(),
         member.madio()->madeleine(), channel_id));
   }
 

@@ -9,10 +9,12 @@
 //   grid.node(0).vlink().connect("madio", {1, port}, cb);
 //
 // `build()` freezes the topology: it creates one Node per node — a
-// Host, a VLink, a NetAccess and a selector::Chooser, all held by
-// value — and, for every (network, node) attachment, registers a
-// driver named after the network profile's driver method, stamped with
-// the profile's NetClass affinity and capability bits.  The grid keeps
+// Host, a VLink, an Arbitration (the paper's NetAccess layer: every
+// incoming network event of the node is dispatched through it) and a
+// selector::Chooser, all held by value — and, for every (network,
+// node) attachment, registers a driver named after the network
+// profile's driver method, stamped with the profile's NetClass
+// affinity and capability bits.  The grid keeps
 // no name registry of its own: a name already taken on the node gets
 // the suffix "@<net id>" (twin SANs: "madio", "madio@1"), judged from
 // the names planned so far in build() and, for attach_live(), from the
@@ -44,7 +46,7 @@
 
 #include "core/engine.hpp"
 #include "core/host.hpp"
-#include "net/netaccess.hpp"
+#include "net/arbitration.hpp"
 #include "net/tag.hpp"
 #include "selector/selector.hpp"
 #include "simnet/network.hpp"
@@ -106,11 +108,9 @@ class Node {
   /// endpoints are detached, so traffic involving it drops.
   bool alive() const noexcept { return alive_; }
 
-  /// The node's NetAccess point (all incoming traffic funnels here).
-  net::NetAccess& access() noexcept { return access_; }
-
-  /// The node's SysIO/MadIO interleaving policy knobs.
-  net::Arbitration& arbitration() noexcept { return access_.arbitration(); }
+  /// The node's SysIO/MadIO arbitration: all incoming traffic funnels
+  /// through it, and its policy knobs tune the interleave.
+  net::Arbitration& arbitration() noexcept { return arbitration_; }
 
   /// The node's topology-aware method selector; installed as the
   /// VLink's SelectionPolicy, so method-less connects go through it.
@@ -126,7 +126,7 @@ class Node {
   core::Host host_;
   vlink::VLink vlink_;
   bool alive_ = true;
-  net::NetAccess access_;
+  net::Arbitration arbitration_;
   selector::Chooser chooser_;
   std::vector<net::MadIO*> madios_;  // borrowed from Grid's SAN stacks
 };

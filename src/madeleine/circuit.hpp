@@ -27,13 +27,14 @@
 // channel numbers on every member node.
 //
 // Units / ownership / determinism: all time is virtual nanoseconds
-// charged by the layers below; this layer adds only the arbitration
-// dispatch cost of the node's NetAccess pump, through which every
-// received circuit message competes with SysIO/MadIO flows.  A Circuit
-// borrows its NetAccess and Madeleine (the Grid owns both) and must be
-// destroyed before them; handlers live in ordered containers and the
-// sequence book is lookup-only, so circuit traffic traces are
-// bit-identical across runs.
+// charged by the layers below; this layer adds only the dispatch cost
+// of the node's arbitration pump (the paper's NetAccess layer),
+// through which every received circuit message competes with
+// SysIO/MadIO flows.  A Circuit borrows its node's Arbitration and
+// Madeleine (the grid Node owns the one, the Grid's SAN stack the
+// other) and must be destroyed before them; handlers live in ordered
+// containers and the sequence book is lookup-only, so circuit traffic
+// traces are bit-identical across runs.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +53,7 @@
 #include "obs/registry.hpp"
 
 namespace padico::net {
-class NetAccess;
+class Arbitration;
 }  // namespace padico::net
 
 namespace padico::circuit {
@@ -95,8 +96,8 @@ class Circuit {
   /// every member endpoint before running the engine; `madeleine` must
   /// belong to the node at `group.node(rank)`.
   Circuit(std::string name, Group group, int rank, net::Tag tag,
-          core::Port port, net::NetAccess& access, mad::Madeleine& madeleine,
-          std::uint8_t channel_id);
+          core::Port port, net::Arbitration& arbitration,
+          mad::Madeleine& madeleine, std::uint8_t channel_id);
   Circuit(const Circuit&) = delete;
   Circuit& operator=(const Circuit&) = delete;
   ~Circuit();
@@ -108,10 +109,10 @@ class Circuit {
   core::Port port() const noexcept { return port_; }
   std::uint8_t channel_id() const noexcept { return channel_->id; }
 
-  /// The node's NetAccess this endpoint dispatches through — the hook
-  /// the middleware personalities use to reach the engine and charge
-  /// their CPU costs next to the endpoint they ride on.
-  net::NetAccess& access() const noexcept { return *access_; }
+  /// The endpoint's node — the hook the middleware personalities use
+  /// to reach the engine and charge their CPU costs next to the
+  /// endpoint they ride on.
+  core::Host& host() const noexcept { return mad_->host(); }
 
   /// True once the establishment handshake has completed at this end.
   bool established() const noexcept { return established_; }
@@ -140,7 +141,7 @@ class Circuit {
             mad::SendMode mode = mad::SendMode::safer);
 
   /// Install (or replace) the receive handler.  It runs from the node's
-  /// NetAccess arbitration pump, never inline from the wire.
+  /// arbitration pump, never inline from the wire.
   void set_recv_handler(RecvHandler handler) {
     handler_ = std::move(handler);
   }
@@ -167,7 +168,7 @@ class Circuit {
   net::Tag tag_;
   core::Port port_;
   core::NodeId node_;
-  net::NetAccess* access_;
+  net::Arbitration* arbitration_;
   mad::Madeleine* mad_;
   mad::Channel* channel_;
   RecvHandler handler_;

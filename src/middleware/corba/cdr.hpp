@@ -1,15 +1,11 @@
 // CDR-style marshalling for the CORBA personality.
 //
-// Two strategies, matching the two ORB families of the paper:
-//
-//   * zero-copy (omniORB): scalar fields and strings accumulate in a
-//     small owned chunk; bulk octet sequences are *referenced* into
-//     the gather list, so the payload is never touched — the message
-//     leaves as an IoVec the vlink layer sends segment by segment.
-//   * copying (Mico / ORBacus): every put copies into the marshal
-//     buffer.  The CPU this burns per byte is what
-//     CostModel::copy_bytes_per_second charges in virtual time, and
-//     what caps those ORBs at ~55 / ~63 MB/s in Figure 3.
+// CdrOut marshals a whole message into one owned buffer: every put
+// appends, and the buffer is posted to the link as one view.  The ORB
+// families of the paper differ only in virtual time: the per-byte
+// marshal pass that caps Mico and ORBacus in Figure 3 is what
+// CostModel::copy_bytes_per_second charges (zero for omniORB); the
+// host copy here is the same for every profile.
 //
 // Wire shapes (host byte order; the simulation never crosses real
 // hosts): u32/u64 raw; string = u32 length + bytes (no NUL); octets =
@@ -33,14 +29,11 @@ namespace padico::orb {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Warray-bounds"
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
+#pragma GCC diagnostic ignored "-Wstringop-overread"
 #endif
 
 class CdrOut {
  public:
-  explicit CdrOut(bool copying) : copying_(copying) {}
-
-  bool copying() const noexcept { return copying_; }
-
   // Every scalar goes through put_raw: a push_back here followed by
   // put_raw's insert draws a false -Wstringop-overread from GCC 12 -O3.
   void put_u8(std::uint8_t v) { put_raw(&v, sizeof(v)); }
@@ -51,59 +44,24 @@ class CdrOut {
 
   void put_string(const std::string& s) {
     put_u32(static_cast<std::uint32_t>(s.size()));
-    pending_.insert(pending_.end(), s.begin(), s.end());
+    buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// Bulk payload: copied under the copying strategy, referenced (the
-  /// caller keeps it alive until the message is consumed) otherwise.
   void put_octets(core::ByteView octets) {
     put_u32(static_cast<std::uint32_t>(octets.size()));
-    if (copying_) {
-      pending_.insert(pending_.end(), octets.begin(), octets.end());
-    } else {
-      seal();
-      iov_.append_ref(octets);
-    }
+    buf_.insert(buf_.end(), octets.begin(), octets.end());
   }
 
-  std::size_t byte_size() const noexcept {
-    return iov_.byte_size() + pending_.size();
-  }
-
-  /// Adopt `b` as the new first segment — for framing headers that are
-  /// only final once the body size is known (the GIOP frame header).
-  void prepend(core::Bytes b) {
-    seal();
-    iov_.prepend(std::move(b));
-  }
-
-  /// The gather list (sealing any pending scalar chunk first).
-  const core::IoVec& iov() {
-    seal();
-    return iov_;
-  }
-
-  /// One contiguous copy of the whole message.
-  core::Bytes flatten() {
-    seal();
-    return iov_.flatten();
-  }
+  /// The marshalled message; the CdrOut is empty afterwards.
+  core::Bytes take() noexcept { return std::move(buf_); }
 
  private:
   void put_raw(const void* p, std::size_t n) {
     const auto* bytes = static_cast<const std::uint8_t*>(p);
-    pending_.insert(pending_.end(), bytes, bytes + n);
+    buf_.insert(buf_.end(), bytes, bytes + n);
   }
 
-  void seal() {
-    if (pending_.empty()) return;
-    iov_.append(std::move(pending_));
-    pending_ = core::Bytes{};
-  }
-
-  bool copying_;
-  core::IoVec iov_;
-  core::Bytes pending_;  // scalar/string chunk being accumulated
+  core::Bytes buf_;
 };
 
 class CdrIn {

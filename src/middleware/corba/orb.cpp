@@ -42,25 +42,21 @@ Any unmarshal_any(CdrIn& in) {
   }
 }
 
-core::Bytes frame_header(std::uint32_t body_len, std::uint8_t kind,
-                         std::uint32_t id) {
-  core::Bytes h(9);
-  std::memcpy(h.data(), &body_len, 4);
-  h[4] = kind;
-  std::memcpy(h.data() + 5, &id, 4);
-  return h;
+/// Start a frame in `out`: the header [u32 body_len][u8 kind][u32 id],
+/// its body length left for finish_frame to fill in.
+void start_frame(CdrOut& out, std::uint8_t kind, std::uint32_t id) {
+  out.put_u32(0);
+  out.put_u8(kind);
+  out.put_u32(id);
 }
 
-/// Everything a scheduled request send must keep alive: the arguments
-/// (the zero-copy marshaler references their storage) and the
-/// marshalled frame.
-struct MarshalState {
-  std::vector<Any> args;
-  CdrOut body;
-
-  MarshalState(bool copying, std::vector<Any> a)
-      : args(std::move(a)), body(copying) {}
-};
+/// The frame marshalled into `out`, with its body length filled in.
+core::Bytes finish_frame(CdrOut& out, std::size_t header_size) {
+  core::Bytes frame = out.take();
+  const auto body_len = static_cast<std::uint32_t>(frame.size() - header_size);
+  std::memcpy(frame.data(), &body_len, sizeof(body_len));
+  return frame;
+}
 
 core::Completion<void> sleep_until(core::Engine& engine, core::SimTime t) {
   return core::sleep_for(engine, t > engine.now() ? t - engine.now() : 0);
@@ -169,16 +165,13 @@ core::Completion<Reply> Orb::invoke(const ObjectRef& ref,
   pending_.emplace(id, done);
   ++requests_sent_;
 
-  auto state = std::make_shared<MarshalState>(profile_.copying(),
-                                              std::move(args));
-  CdrOut& body = state->body;
-  body.put_string(ref.key);
-  body.put_string(method);
-  body.put_u32(static_cast<std::uint32_t>(state->args.size()));
-  for (const Any& a : state->args) marshal_any(body, a);
-  const std::size_t body_size = body.byte_size();
-  body.prepend(
-      frame_header(static_cast<std::uint32_t>(body_size), kRequest, id));
+  CdrOut out;
+  start_frame(out, kRequest, id);
+  out.put_string(ref.key);
+  out.put_string(method);
+  out.put_u32(static_cast<std::uint32_t>(args.size()));
+  for (const Any& a : args) marshal_any(out, a);
+  core::Bytes frame = finish_frame(out, kFrameHeader);
 
   // Open the connection in parallel with the marshal (real ORBs do the
   // TCP handshake under the first marshal too).
@@ -186,17 +179,17 @@ core::Completion<Reply> Orb::invoke(const ObjectRef& ref,
 
   // The marshal burns this ORB's CPU; the frame reaches the wire when
   // the serialized clock says the copy/packing is done.
-  const core::SimTime t = charge_send(kFrameHeader + body_size);
+  const core::SimTime t = charge_send(frame.size());
   engine().schedule_at(t, [this, alive = alive_, node = ref.node,
-                           port = ref.port, id, state] {
+                           port = ref.port, id,
+                           frame = std::move(frame)]() mutable {
     if (!*alive) return;
     ClientConn& c = conns_[{node, port}];
     if (c.link) {
-      c.link->post_write(state->body.iov());
+      c.link->post_write(core::view_of(frame));
     } else if (c.connecting) {
-      // Keep the frame (flattened: the connection outlives the state's
-      // borrowed views) until the connect callback flushes it.
-      c.queued.emplace_back(id, state->body.flatten());
+      // Keep the frame until the connect callback flushes it.
+      c.queued.emplace_back(id, std::move(frame));
     } else {
       fail_request(id, core::Status::refused);
     }
@@ -290,17 +283,15 @@ core::Task Orb::server_loop(vlink::Link& link) {
       }
     }
 
-    CdrOut out(profile_.copying());
+    CdrOut out;
+    start_frame(out, kReply, id);
     out.put_u8(static_cast<std::uint8_t>(reply.status));
     out.put_u32(static_cast<std::uint32_t>(reply.results.size()));
     for (const Any& a : reply.results) marshal_any(out, a);
-    const std::size_t reply_size = out.byte_size();
-    out.prepend(
-        frame_header(static_cast<std::uint32_t>(reply_size), kReply, id));
-    // Marshalling the reply is send-side CPU; the reply's storage
-    // (`reply`, `out`) lives in this frame until the write below.
-    co_await sleep_until(engine(), charge_send(kFrameHeader + reply_size));
-    link.post_write(out.iov());
+    const core::Bytes frame = finish_frame(out, kFrameHeader);
+    // Marshalling the reply is send-side CPU.
+    co_await sleep_until(engine(), charge_send(frame.size()));
+    link.post_write(core::view_of(frame));
   }
 }
 

@@ -17,9 +17,11 @@
 // for the copying marshalers (Mico, ORBacus), a per-byte pass that
 // serializes on the ORB's virtual CPU and caps their bandwidth curves
 // at ~55 / ~63 MB/s while the zero-copy omniORBs ride the wire to the
-// Myrinet plateau.
+// Myrinet plateau.  The marshalling itself is the same for every
+// profile: one frame in one buffer, posted as one write.
 //
-// Frame format over the stream (host byte order):
+// Frame format over the stream (host byte order), header first, its
+// body length filled in once the body is marshalled:
 //   [u32 body_len][u8 kind 0=request 1=reply][u32 request_id]
 // request body:  string object_key, string method, u32 argc, args
 // reply body:    u8 status (core::Status), u32 argc, results
@@ -88,9 +90,6 @@ struct Reply {
 struct OrbProfile {
   std::string name;
   core::CostModel costs;
-
-  /// Copying marshaler (Mico, ORBacus) or zero-copy (omniORB)?
-  bool copying() const noexcept { return costs.copy_bytes_per_second != 0; }
 };
 
 namespace profiles {

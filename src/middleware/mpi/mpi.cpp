@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "net/netaccess.hpp"
-
 namespace padico::mpi {
 
 core::CostModel mpich_costs() {
@@ -15,7 +13,7 @@ core::CostModel mpich_costs() {
 
 Comm::Comm(circuit::Circuit& endpoint, core::CostModel costs)
     : Personality("mpi", std::move(costs),
-                  endpoint.access().host().engine()),
+                  endpoint.host().engine()),
       ep_(&endpoint),
       rank_(endpoint.rank()),
       size_(static_cast<int>(endpoint.group().size())) {
@@ -43,36 +41,36 @@ void Comm::isend(int dst_rank, int tag, core::ByteView data) {
 }
 
 core::SimTime Comm::post_send(int dst_rank, int tag, core::ByteView data) {
-  // Envelope: [u32 tag][u32 payload len][u64 seq].  The length is
-  // redundant on a circuit (hardware messages keep boundaries) but is
-  // what frames the message on the stream fallback.
-  core::Bytes envelope(kEnvelope);
+  // One buffer: envelope [u32 tag][u32 payload len][u64 seq], then
+  // the payload.  The length is redundant on a circuit (hardware
+  // messages keep boundaries) but is what frames the message on the
+  // stream fallback.  MPI buffer semantics: the caller's buffer is
+  // reusable on return, so the payload is copied here, before the
+  // deferred wire push.
+  core::Bytes msg;
+  msg.reserve(kEnvelope + data.size());
+  msg.resize(kEnvelope);
   const auto wire_tag = static_cast<std::uint32_t>(tag);
   const auto wire_len = static_cast<std::uint32_t>(data.size());
   const std::uint64_t seq = seq_.next({dst_rank, tag});
-  std::memcpy(envelope.data(), &wire_tag, 4);
-  std::memcpy(envelope.data() + 4, &wire_len, 4);
-  std::memcpy(envelope.data() + 8, &seq, 8);
-  // MPI buffer semantics: the caller's buffer is reusable on return,
-  // so the payload is copied here, before the deferred wire push.
-  core::Bytes payload = data.to_bytes();
+  std::memcpy(msg.data(), &wire_tag, 4);
+  std::memcpy(msg.data() + 4, &wire_len, 4);
+  std::memcpy(msg.data() + 8, &seq, 8);
+  msg.insert(msg.end(), data.begin(), data.end());
   const core::SimTime t = charge_send(data.size());
   engine().schedule_at(
-      t, [this, alive = alive_, dst_rank, envelope = std::move(envelope),
-          payload = std::move(payload)]() mutable {
+      t, [this, alive = alive_, dst_rank, msg = std::move(msg)] {
         if (!*alive) return;
+        const core::ByteView all = core::view_of(msg);
         if (ep_ != nullptr) {
-          mad::PackHandle handle =
-              ep_->begin(dst_rank, envelope.size() + payload.size());
-          handle.pack(core::view_of(envelope));
+          mad::PackHandle handle = ep_->begin(dst_rank, all.size());
+          handle.pack(all.subview(0, kEnvelope));
           // Borrowed only until end() flushes, inside this event.
-          handle.pack(core::view_of(payload), mad::SendMode::later);
+          handle.pack(all.subview(kEnvelope, all.size() - kEnvelope),
+                      mad::SendMode::later);
           ep_->end(std::move(handle));
         } else {
-          core::IoVec frame;
-          frame.append(std::move(envelope));
-          frame.append_ref(core::view_of(payload));  // flattened in write
-          stream_->post_write(frame);
+          stream_->post_write(all);
         }
         ++sent_;
       });

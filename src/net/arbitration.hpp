@@ -16,11 +16,15 @@
 // overhead — the property the latency reproductions rely on.
 //
 // Units / ownership / determinism: `dispatch_cost` / `switch_cost` are
-// virtual nanoseconds.  An Arbitration borrows its Engine and is owned
-// by the node's NetAccess.  A queued closure is built once, parked in
-// an engine event node that never moves (core::Engine::park), and runs
-// there when dispatched; the Arbitration owns it until then and drops
-// it unrun when it dies, so an Arbitration must die before its Engine.
+// virtual nanoseconds.  An Arbitration borrows its Engine and is the
+// node's whole NetAccess layer: the grid Node holds it by value
+// (`node.arbitration()`), MadIO and the circuits enqueue on it
+// directly, and the Grid's dispatch hook on each IP driver parks its
+// frames here (enqueue_parked).  A queued closure is built once,
+// parked in an engine event node that never moves (core::Engine::park),
+// and runs there when dispatched; the Arbitration owns it until then
+// and drops it unrun when it dies, so an Arbitration must die before
+// its Engine.
 // Each substrate's queue is a `HandleRing` of 4-byte node handles: a
 // FIFO that allocates nothing until its first enqueue, then reuses its
 // storage, so an idle node pays no heap for either queue.  The pump's

@@ -1,6 +1,5 @@
 #include "net/madio.hpp"
 
-#include <cassert>
 #include <cstring>
 #include <string>
 
@@ -8,11 +7,11 @@ namespace padico::net {
 
 namespace wire = vlink::wire;
 
-MadIO::MadIO(NetAccess& access, mad::Madeleine& madeleine,
+MadIO::MadIO(Arbitration& arbitration, mad::Madeleine& madeleine,
              bool header_combining)
-    : access_(&access),
+    : arbitration_(&arbitration),
       mad_(&madeleine),
-      engine_(&access.host().engine()),
+      engine_(&madeleine.host().engine()),
       combining_(header_combining) {
   channel_ = mad_->open_channel();
   mad_->set_recv_handler(*channel_,
@@ -60,14 +59,7 @@ mad::PackHandle MadIO::begin(Tag tag, core::NodeId dst,
   return handle;
 }
 
-void MadIO::end(mad::PackHandle handle, Tag tag, core::NodeId dst) {
-  // Routing is fixed at begin(); the repeated (tag, dst) exists for
-  // call-site symmetry and must match, or the two combining modes
-  // would deliver to different handlers.
-  assert(handle.dst() == dst && "MadIO::end(): dst differs from begin()");
-  assert(handle.context() == tag && "MadIO::end(): tag differs from begin()");
-  (void)tag;
-  (void)dst;
+void MadIO::end(mad::PackHandle handle) {
   obs_sends_->add();
   if (combining_) {
     obs_combined_->add();
@@ -147,7 +139,7 @@ void MadIO::dispatch(Tag tag, core::NodeId src, mad::UnpackHandle& handle) {
   // One closure per SAN message: it must stay inside EventFn's inline
   // budget, or every message pays a heap allocation.
   static_assert(sizeof(queued) <= core::EventFn::kInlineSize);
-  access_->post_mad(std::move(queued));
+  arbitration_->enqueue(Substrate::mad, std::move(queued));
 }
 
 void MadIO::run(TagEntry& entry, core::NodeId src, std::uint32_t cursor,

@@ -20,13 +20,13 @@
 // combining on, a message costs no lookup there.
 //
 // Received messages are not dispatched inline: MadIO hands them to the
-// node's NetAccess, whose Arbitration decides when the tag handler
-// runs relative to IP-side traffic.  The dispatch closure holds the
-// message itself — its tag's entry, the source, the read cursor, the
-// pooled buffer and the shared tail — in EventFn's 48 inline bytes, so
-// queueing a message allocates nothing; the handler gets an
-// UnpackHandle rebuilt around them, and what it leaves of the buffer
-// goes back to the engine's pool.  The `madio.queued` span's start
+// node's Arbitration (the paper's NetAccess layer), which decides when
+// the tag handler runs relative to IP-side traffic.  The dispatch
+// closure holds the message itself — its tag's entry, the source, the
+// read cursor, the pooled buffer and the shared tail — in EventFn's 48
+// inline bytes, so queueing a message allocates nothing; the handler
+// gets an UnpackHandle rebuilt around them, and what it leaves of the
+// buffer goes back to the engine's pool.  The `madio.queued` span's start
 // instant rides in the handle's scratch bytes
 // (UnpackHandle::scratch(), the SAN driver header Madeleine has
 // already consumed).
@@ -40,9 +40,10 @@
 //
 // Units / ownership / determinism: this layer adds no virtual time of
 // its own — its cost is the header bytes it puts on the wire plus the
-// NetAccess dispatch below.  A MadIO borrows its NetAccess and
-// Madeleine (the Grid's SAN stack owns all three, bottom-up) and owns
-// its bootstrap channel (always Madeleine channel 0).  Each tag has one
+// arbitrated dispatch below.  A MadIO borrows its node's Arbitration
+// (the grid Node owns it) and its Madeleine (the Grid's SAN stack owns
+// both, bottom-up) and owns its bootstrap channel (always Madeleine
+// channel 0).  Each tag has one
 // entry, created when a handler is set or its first message arrives:
 // the handler and the pending gauge.  A received message costs one
 // hash lookup of its entry; the queued closure points at the entry,
@@ -58,7 +59,7 @@
 #include <utility>
 
 #include "madeleine/madeleine.hpp"
-#include "net/netaccess.hpp"
+#include "net/arbitration.hpp"
 #include "net/seqbook.hpp"
 #include "net/tag.hpp"
 #include "vlink/wire.hpp"
@@ -72,12 +73,11 @@ class MadIO {
   /// Tag reserved for the vlink adapter (MadIODriver).
   static constexpr Tag kVLinkTag = 0xFFFF;
 
-  MadIO(NetAccess& access, mad::Madeleine& madeleine,
+  MadIO(Arbitration& arbitration, mad::Madeleine& madeleine,
         bool header_combining = true);
   MadIO(const MadIO&) = delete;
   MadIO& operator=(const MadIO&) = delete;
 
-  NetAccess& access() const noexcept { return *access_; }
   mad::Madeleine& madeleine() const noexcept { return *mad_; }
   bool header_combining() const noexcept { return combining_; }
 
@@ -93,16 +93,17 @@ class MadIO {
   /// packed as the first segment.
   mad::PackHandle begin(Tag tag, core::NodeId dst, std::size_t size_hint = 0);
 
-  /// Flush.  With combining off this sends the detached header message
-  /// first, then the payload message.
-  void end(mad::PackHandle handle, Tag tag, core::NodeId dst);
+  /// Flush towards the tag and destination begin() fixed.  With
+  /// combining off this sends the detached header message first, then
+  /// the payload message.
+  void end(mad::PackHandle handle);
 
   /// Convenience for the common single-segment case:
   /// begin + pack(data, safer) + end.
   void send(Tag tag, core::NodeId dst, core::ByteView data) {
     mad::PackHandle handle = begin(tag, dst, data.size());
     handle.pack(data, mad::SendMode::safer);
-    end(std::move(handle), tag, dst);
+    end(std::move(handle));
   }
 
   bool reaches(core::NodeId node) const;
@@ -137,7 +138,7 @@ class MadIO {
   void pack_header(mad::PackHandle& handle, Tag tag, core::NodeId dst,
                    vlink::wire::FrameType type);
 
-  NetAccess* access_;
+  Arbitration* arbitration_;
   mad::Madeleine* mad_;
   mad::Channel* channel_;
   core::Engine* engine_;

@@ -32,7 +32,7 @@ void MadIODriver::emit(core::NodeId dst, const wire::Header& h,
   // write's block rides behind the buffer by reference.
   if (!payload.empty()) handle.pack(payload);
   if (!tail.empty()) handle.pack(std::move(tail));
-  io_->end(std::move(handle), MadIO::kVLinkTag, dst);
+  io_->end(std::move(handle));
 }
 
 }  // namespace padico::net

@@ -10,7 +10,7 @@
 //   simulated Myrinet
 //
 // and incoming frames arrive already arbitrated (MadIO dispatches tag
-// handlers through the node's NetAccess).
+// handlers through the node's Arbitration).
 //
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN

@@ -4,13 +4,6 @@
 
 namespace padico::vlink {
 
-void Link::post_write(const core::IoVec& iov) {
-  // One wire message preserves the gather boundary end-to-end; the
-  // flatten is the single copy onto the simulated wire.
-  core::Bytes flat = iov.flatten();
-  send_bytes(core::view_of(flat));
-}
-
 core::Completion<core::Bytes> Link::read_n(std::size_t n) {
   core::Completion<core::Bytes> c;
   if (pending_.empty() && available() >= n) {

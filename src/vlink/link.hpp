@@ -5,7 +5,8 @@
 // stream buffer — usually the last delivered frame, adopted without a
 // copy, or a shared tail read in place — plus a FIFO of pending
 // `read_n` requests) and delegates the send side to the concrete
-// transport via `send_bytes` and `send_shared`.  The
+// transport via `send_bytes` and `send_shared`: a write is one copied
+// `ByteView` or one by-reference `SharedBytes` (core/bytes.hpp).  The
 // adapter layers (VRP, AdOC, parallel streams) subclass it and keep
 // the same user-facing surface.  A link keeps no traffic totals: its
 // driver counts every frame in the engine's obs registry (`vlink.tx.*`
@@ -41,15 +42,14 @@ class Link {
 
   /// Queue `data` for transmission and return immediately; the wire
   /// paces delivery in virtual time.  Bytes arrive in post order.  The
-  /// caller may reuse `data`'s storage at once: it is copied.
+  /// caller may reuse `data`'s storage at once: it is copied.  A
+  /// message made of parts is built in one buffer and posted as one
+  /// view.
   void post_write(core::ByteView data) { send_bytes(data); }
 
   /// Shared variant: `data` never changes, so a transport may carry it
   /// by reference to the reading link instead of copying it.
   void post_write(core::SharedBytes data) { send_shared(std::move(data)); }
-
-  /// Gather variant: the segments travel as one wire message.
-  void post_write(const core::IoVec& iov);
 
   /// Await exactly `n` bytes from the stream.  Requests are served in
   /// FIFO order; each returns a buffer of exactly `n` bytes.

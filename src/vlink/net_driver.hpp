@@ -25,7 +25,7 @@
 // horizon dies with the link.
 //
 // An optional dispatch hook defers frame handling to an external
-// scheduler: the Grid installs the node's NetAccess arbitration here so
+// scheduler: the Grid installs the node's net::Arbitration here so
 // that IP-side ("sysio") traffic contends with SAN-side traffic under
 // the paper's SysIO/MadIO interleaving policy.  The hook takes a parked
 // engine node handle, so the frame's closure is built once and vlink

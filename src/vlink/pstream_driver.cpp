@@ -18,8 +18,10 @@ namespace pstream {
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 #endif
 
-core::Bytes encode_sub(const SubHeader& h) {
-  core::Bytes out(kSubHeaderSize, 0);
+core::Bytes encode_sub(const SubHeader& h, core::ByteView payload) {
+  core::Bytes out;
+  out.reserve(kSubHeaderSize + payload.size());
+  out.resize(kSubHeaderSize, 0);
   std::memcpy(out.data(), &kMagic, sizeof(kMagic));
   out[4] = static_cast<std::uint8_t>(h.kind);
   out[5] = h.index;
@@ -27,6 +29,7 @@ core::Bytes encode_sub(const SubHeader& h) {
   std::memcpy(out.data() + 8, &h.port, sizeof(h.port));
   std::memcpy(out.data() + 12, &h.len, sizeof(h.len));
   std::memcpy(out.data() + 16, &h.id, sizeof(h.id));
+  out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
@@ -100,10 +103,8 @@ void PstreamLink::send_bytes(core::ByteView data) {
     h.len = static_cast<std::uint32_t>(len);
     h.id = next_send_seq_;
     Sub& s = subs_[next_send_seq_ % subs_.size()];
-    core::IoVec iov;
-    iov.append(pstream::encode_sub(h));
-    iov.append_ref(data.subview(off, len));
-    s.link->post_write(iov);
+    s.link->post_write(
+        core::view_of(pstream::encode_sub(h, data.subview(off, len))));
     s.tx_bytes += len;
     s.obs_tx->add(len);
     obs_chunks_->add();

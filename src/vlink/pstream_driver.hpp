@@ -94,7 +94,9 @@ struct SubHeader {
   friend bool operator==(const SubHeader&, const SubHeader&) = default;
 };
 
-core::Bytes encode_sub(const SubHeader& h);
+/// The sub-frame header followed by `payload` (a data chunk), in one
+/// buffer sized for both.
+core::Bytes encode_sub(const SubHeader& h, core::ByteView payload = {});
 
 /// Parse the sub-frame header at the front of `frame`.  Returns
 /// nullopt for truncated input, a bad magic, an unknown kind or an

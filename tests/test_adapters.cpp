@@ -119,34 +119,24 @@ TEST(Compress, RleAndLzRoundTripAllShapes) {
   }
 }
 
-TEST(Compress, FramedRoundTripAllLevels) {
+TEST(Compress, RoundTripAllLevels) {
   const pc::Bytes data = text_payload(20000);
   for (std::uint8_t l = 0; l < cz::kLevelCount; ++l) {
     const auto level = static_cast<cz::Level>(l);
-    const pc::Bytes frame = cz::compress(pc::view_of(data), level);
-    ASSERT_GE(frame.size(), cz::kFrameHeaderBytes);
-    EXPECT_EQ(frame[0], l);
-    auto back = cz::decompress(pc::view_of(frame));
-    ASSERT_TRUE(back.has_value()) << cz::level_name(level);
+    const pc::Bytes enc = cz::encode(level, pc::view_of(data));
+    auto back = cz::decode(level, pc::view_of(enc));
+    ASSERT_TRUE(back.has_value()) << "level " << int{l};
     EXPECT_EQ(*back, data);
   }
-  // Compressible text must actually compress under rle and lz.
-  EXPECT_LT(cz::compress(pc::view_of(data), cz::Level::lz).size(),
-            data.size());
+  // Compressible text must actually compress under lz.
+  EXPECT_LT(cz::encode(cz::Level::lz, pc::view_of(data)).size(), data.size());
 }
 
-TEST(Compress, GarbageAndTruncationAreRejected) {
-  const pc::Bytes frame = cz::compress(pc::view_of(text_payload(500)),
-                                       cz::Level::lz);
-  for (std::size_t n : {std::size_t{0}, std::size_t{3},
-                        cz::kFrameHeaderBytes - 1, frame.size() - 1}) {
-    EXPECT_FALSE(
-        cz::decompress(pc::ByteView(frame.data(), n)).has_value())
-        << "length " << n;
-  }
-  pc::Bytes bad_level = frame;
-  bad_level[0] = 99;
-  EXPECT_FALSE(cz::decompress(pc::view_of(bad_level)).has_value());
+TEST(Compress, GarbageIsRejected) {
+  // A level no codec has decodes nothing.
+  const pc::Bytes text = text_payload(500);
+  EXPECT_FALSE(
+      cz::decode(static_cast<cz::Level>(99), pc::view_of(text)).has_value());
   // Fuzzed LZ streams must decode to nullopt or valid bytes, never
   // crash or read out of bounds (ASan-checked in CI).
   pc::Rng rng(0xfeedf00d);
@@ -155,7 +145,6 @@ TEST(Compress, GarbageAndTruncationAreRejected) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     (void)cz::lz_decode(pc::view_of(junk));
     (void)cz::rle_decode(pc::view_of(junk));
-    (void)cz::decompress(pc::view_of(junk));
   }
 }
 

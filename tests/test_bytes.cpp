@@ -33,68 +33,6 @@ TEST(Bytes, ViewSubviewAndToBytes) {
   EXPECT_EQ(copy, (pc::Bytes{8, 7}));
 }
 
-TEST(IoVec, RefSegmentsAreZeroCopy) {
-  pc::Bytes chunk(64, 0xab);
-  pc::IoVec v;
-  v.append_ref(pc::view_of(chunk));
-  v.append_ref(pc::view_of(chunk));
-  EXPECT_EQ(v.segments(), 2u);
-  EXPECT_EQ(v.byte_size(), 128u);
-  // The IoVec points straight at the caller's buffer.
-  EXPECT_EQ(v.view(0).data(), chunk.data());
-  EXPECT_EQ(v.view(1).data(), chunk.data());
-}
-
-TEST(IoVec, FlattenMixedOwnedAndRefSegments) {
-  pc::Bytes header{0x10, 0x20};
-  pc::Bytes body{1, 2, 3, 4};
-
-  pc::IoVec v;
-  v.append(std::move(header));        // owned (header adopted)
-  v.append_ref(pc::view_of(body));    // borrowed payload
-  v.append(pc::Bytes{0xff});          // owned trailer
-
-  EXPECT_EQ(v.segments(), 3u);
-  EXPECT_EQ(v.byte_size(), 7u);
-  EXPECT_EQ(v.flatten(), (pc::Bytes{0x10, 0x20, 1, 2, 3, 4, 0xff}));
-}
-
-TEST(IoVec, EmptyFlattens) {
-  pc::IoVec v;
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(v.flatten(), pc::Bytes{});
-}
-
-TEST(IoVec, OwnedSegmentSurvivesSourceDestruction) {
-  pc::IoVec v;
-  {
-    pc::Bytes tmp{5, 6, 7};
-    v.append(std::move(tmp));
-  }  // source gone; the IoVec owns the segment
-  EXPECT_EQ(v.flatten(), (pc::Bytes{5, 6, 7}));
-}
-
-TEST(IoVec, PrependPutsHeaderFirstWithoutShiftingSegments) {
-  pc::IoVec v;
-  v.append(pc::Bytes{3, 4});
-  v.append_ref(pc::view_of("xy"));
-  v.prepend(pc::Bytes{1, 2});  // flush-time header lands in front
-
-  EXPECT_EQ(v.segments(), 3u);
-  EXPECT_EQ(v.view(0)[0], 1);
-  EXPECT_EQ(v.flatten(), (pc::Bytes{1, 2, 3, 4, 'x', 'y'}));
-}
-
-TEST(IoVec, SecondPrependDemotesTheOldFront) {
-  pc::IoVec v;
-  v.append(pc::Bytes{9});
-  v.prepend(pc::Bytes{5});     // inner-layer header
-  v.prepend(pc::Bytes{1, 2});  // outer-layer header wraps it
-
-  EXPECT_EQ(v.segments(), 3u);
-  EXPECT_EQ(v.flatten(), (pc::Bytes{1, 2, 5, 9}));
-}
-
 TEST(BytesPool, RecyclesReleasedCapacity) {
   pc::BytesPool pool;
   pc::Bytes b = pool.acquire_capacity(100);

@@ -380,11 +380,11 @@ TEST(Circuit, MismatchedEstablishmentIsRefused) {
   build_san_grid(grid, 2);
   cc::Group g({0, 1});
   cc::Circuit root("mm", g, 0, /*tag=*/1, /*port=*/5000,
-                   grid.node(0).access(), grid.node(0).madio()->madeleine(),
-                   /*channel_id=*/9);
+                   grid.node(0).arbitration(),
+                   grid.node(0).madio()->madeleine(), /*channel_id=*/9);
   cc::Circuit peer("mm", g, 1, /*tag=*/2, /*port=*/5000,
-                   grid.node(1).access(), grid.node(1).madio()->madeleine(),
-                   /*channel_id=*/9);
+                   grid.node(1).arbitration(),
+                   grid.node(1).madio()->madeleine(), /*channel_id=*/9);
   grid.engine().run_until_idle();
   EXPECT_FALSE(root.established());
   EXPECT_FALSE(peer.established());
@@ -466,8 +466,8 @@ TEST(Circuit, TagIsScopedToTheCircuitChannel) {
 }
 
 TEST(Circuit, TrafficCompetesInTheArbitrationPump) {
-  // Circuit deliveries ride the node's NetAccess mad substrate, so they
-  // show up in the same dispatch accounting as MadIO traffic.
+  // Circuit deliveries ride the mad substrate of the node's arbitration,
+  // so they show up in the same dispatch accounting as MadIO traffic.
   gr::Grid grid;
   build_san_grid(grid, 2);
   gr::CircuitSet set = grid.make_circuit("arb", cc::Group({0, 1}), 0x1A, 4100);

@@ -17,8 +17,8 @@
 #include "drivers/san_driver.hpp"
 #include "grid/grid.hpp"
 #include "madeleine/madeleine.hpp"
+#include "net/arbitration.hpp"
 #include "net/madio_driver.hpp"
-#include "net/netaccess.hpp"
 #include "net/seqbook.hpp"
 #include "simnet/simnet.hpp"
 
@@ -40,7 +40,7 @@ struct Stack {
   std::unique_ptr<pc::Host> h0, h1;
   std::unique_ptr<dr::SanDriver> d0, d1;
   std::unique_ptr<md::Madeleine> m0, m1;
-  std::unique_ptr<net::NetAccess> a0, a1;
+  net::Arbitration a0{engine}, a1{engine};
   std::unique_ptr<net::MadIO> io0, io1;
 
   explicit Stack(bool combining = true)
@@ -53,10 +53,8 @@ struct Stack {
     d1 = std::make_unique<dr::SanDriver>(*h1, fabric, san);
     m0 = std::make_unique<md::Madeleine>(*h0, *d0);
     m1 = std::make_unique<md::Madeleine>(*h1, *d1);
-    a0 = std::make_unique<net::NetAccess>(*h0);
-    a1 = std::make_unique<net::NetAccess>(*h1);
-    io0 = std::make_unique<net::MadIO>(*a0, *m0, combining);
-    io1 = std::make_unique<net::MadIO>(*a1, *m1, combining);
+    io0 = std::make_unique<net::MadIO>(a0, *m0, combining);
+    io1 = std::make_unique<net::MadIO>(a1, *m1, combining);
   }
 
 };
@@ -135,7 +133,7 @@ TEST(SanDriver, BackToBackSendsSerialiseOnTheHostCpu) {
   ASSERT_EQ(arrivals.size(), 4u);
   // Injection cost spaces the messages at least per_message apart.
   const pc::Duration gap = arrivals[1] - arrivals[0];
-  EXPECT_GE(gap, dr::gm_costs().per_message);
+  EXPECT_GE(gap, dr::SanDriver::kPerMessage);
   for (std::size_t i = 2; i < arrivals.size(); ++i) {
     EXPECT_EQ(arrivals[i] - arrivals[i - 1], gap);
   }
@@ -143,7 +141,7 @@ TEST(SanDriver, BackToBackSendsSerialiseOnTheHostCpu) {
 
 TEST(SanDriver, LargeMessagesRendezvous) {
   Stack s;
-  const std::size_t big = dr::gm_costs().eager_threshold + 1;
+  const std::size_t big = dr::SanDriver::kEagerThreshold + 1;
   pc::SimTime small_arrival = 0, big_arrival = 0;
   std::vector<std::size_t> order;
   s.d1->set_receiver([&](pc::NodeId, pc::Bytes frame, std::size_t off,
@@ -233,7 +231,7 @@ TEST(SanDriver, SharedTailIsTimedLikeTheSameBytesInTheFrame) {
     seen.rendezvous = s.d0->rendezvous_sent();
     return seen;
   };
-  const std::size_t big = dr::gm_costs().eager_threshold + 1;
+  const std::size_t big = dr::SanDriver::kEagerThreshold + 1;
   const Seen flat_big = send(big, 0);
   EXPECT_EQ(flat_big.rendezvous, 1u);  // REQ + ACK + data
   EXPECT_EQ(flat_big.wire_msgs, 3u);
@@ -254,7 +252,7 @@ TEST(SanDriver, StrayAckDoesNotReleaseARendezvous) {
                            pc::SharedBytes) {
       arrival = s.engine.now();
     });
-    s.d0->send(1, san_frame(dr::gm_costs().eager_threshold + 1));
+    s.d0->send(1, san_frame(dr::SanDriver::kEagerThreshold + 1));
     if (forge) {
       pc::Bytes ack(kHead, 0);
       ack[0] = 3;  // kAck
@@ -290,14 +288,14 @@ TEST(SanDriver, RendezvousToOneNodeDoesNotDelayAnother) {
     return arrival;
   };
   const pc::SimTime behind_rendezvous =
-      eager_arrival(dr::gm_costs().eager_threshold + 1);
+      eager_arrival(dr::SanDriver::kEagerThreshold + 1);
   EXPECT_GT(behind_rendezvous, 0u);
   EXPECT_EQ(behind_rendezvous, eager_arrival(0));
 }
 
 TEST(SanDriver, MixedSendsToOneNodeArriveInPostOrder) {
   SanNodes s(3);
-  const std::size_t big = dr::gm_costs().eager_threshold + 1;
+  const std::size_t big = dr::SanDriver::kEagerThreshold + 1;
   std::vector<std::uint8_t> order;
   s[1].set_receiver([&](pc::NodeId src, pc::Bytes frame, std::size_t off,
                         pc::SharedBytes) {
@@ -492,7 +490,7 @@ TEST(MadIO, CombiningStrictlyLowersDeliveryLatency) {
   EXPECT_LT(combined, naive);
   // The naive path pays an extra per-message injection (partly offset
   // by the 24 header bytes its payload message no longer carries).
-  EXPECT_GE(naive - combined, dr::gm_costs().per_message / 2);
+  EXPECT_GE(naive - combined, dr::SanDriver::kPerMessage / 2);
 }
 
 TEST(MadIO, UnknownTagIsDroppedCleanly) {
@@ -586,7 +584,7 @@ TEST(MadIO, SharedTailPairsWithItsHeaderInBothModes) {
       md::PackHandle h = s.io0->begin(4, 1);
       h.pack(pc::view_of("h" + std::to_string(i)));
       h.pack(block);
-      s.io0->end(std::move(h), 4, 1);
+      s.io0->end(std::move(h));
     }
     s.engine.run_until_idle();
     EXPECT_EQ(heads, (std::vector<std::string>{"h0", "h1", "h2"}))
@@ -828,17 +826,17 @@ TEST(Arbitration, QueuedClosureIsBuiltOnceAndMovedAtMostOnce) {
   // there: a temporary is moved once, into the node, and never again
   // through the ring, its growth or the dispatch.
   pc::Engine engine;
-  pc::Host host(engine, 0);
-  net::NetAccess access(host);
+  net::Arbitration arb(engine);
   std::vector<int> moves(6, 0), at_run(6, -1);
   for (int i = 0; i < 3; ++i) {
-    access.post_mad(MoveCounter(&moves[i], &at_run[i]));
-    access.post_sys(MoveCounter(&moves[3 + i], &at_run[3 + i]));
+    arb.enqueue(net::Substrate::mad, MoveCounter(&moves[i], &at_run[i]));
+    arb.enqueue(net::Substrate::sys,
+                MoveCounter(&moves[3 + i], &at_run[3 + i]));
   }
   // An EventFn is moved in once too (after the one move that built it).
   int fn_moves = 0, fn_at_run = -1;
   pc::EventFn fn = MoveCounter(&fn_moves, &fn_at_run);
-  access.post_mad(std::move(fn));
+  arb.enqueue(net::Substrate::mad, std::move(fn));
   EXPECT_EQ(engine.pending_count(), 1u);  // the pump; parked ones are not
   engine.run_until_idle();
   EXPECT_EQ(at_run, std::vector<int>(6, 1));
@@ -870,19 +868,6 @@ TEST(Arbitration, PolicyClampsToPositiveWeights) {
   arb.set_policy(0, -3);
   EXPECT_EQ(arb.sys_weight(), 1);
   EXPECT_EQ(arb.mad_weight(), 1);
-}
-
-TEST(NetAccess, PostsRouteThroughTheArbitration) {
-  pc::Engine engine;
-  pc::Host host(engine, 0);
-  net::NetAccess access(host);
-  int ran = 0;
-  access.post_mad([&] { ++ran; });
-  access.post_sys([&] { ++ran; });
-  engine.run_until_idle();
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(access.arbitration().dispatched(net::Substrate::mad), 1u);
-  EXPECT_EQ(access.arbitration().dispatched(net::Substrate::sys), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -387,10 +387,8 @@ TEST(VLink, DriverCountersTallyEveryDataFrame) {
   EXPECT_EQ(counter(rig, "vlink.tx.frames"), 0u);
   EXPECT_EQ(counter(rig, "vlink.rx.frames"), 0u);
   a->post_write(pc::view_of("ping"));
-  pc::IoVec iov;
-  iov.append(pc::Bytes{1, 2, 3});
-  iov.append_ref(pc::view_of("pong!"));
-  b->post_write(iov);
+  const pc::Bytes eight{1, 2, 3, 'p', 'o', 'n', 'g', '!'};
+  b->post_write(pc::view_of(eight));
   rig.engine.run_until_idle();
   EXPECT_EQ(a->available(), 8u);
   EXPECT_EQ(b->available(), 4u);
@@ -484,28 +482,6 @@ TEST(VLink, ReadCompletesImmediatelyWhenBuffered) {
   };
   auto t = reader();
   EXPECT_TRUE(done);  // completed synchronously
-}
-
-TEST(VLink, GatherWriteTravelsAsOneMessage) {
-  Rig rig;
-  auto [a, b] = rig.link_pair("madio", 4400);
-
-  pc::Bytes body(8, 0x55);
-  pc::IoVec iov;
-  iov.append(pc::Bytes{0xaa});        // owned header
-  iov.append_ref(pc::view_of(body));  // borrowed payload
-  a->post_write(iov);
-
-  bool done = false;
-  auto reader = [&]() -> pc::Task {
-    pc::Bytes msg = co_await b->read_n(9);
-    EXPECT_EQ(msg[0], 0xaa);
-    EXPECT_EQ(msg[8], 0x55);
-    done = true;
-  };
-  auto t = reader();
-  rig.engine.run_while_pending([&] { return done; });
-  EXPECT_TRUE(done);
 }
 
 TEST(VLink, LinkMayOutliveDriver) {
